@@ -151,13 +151,24 @@ def _build_parser():
     return ap
 
 
+def _positive_cap(value, name) -> int:
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return cap
+
+
 def _caps_from_env(args) -> PolyhedronCaps:
     caps = DEFAULT_CAPS
     env_n = os.environ.get("SINGULACT_CAPS_N")
     if env_n:
-        caps = replace(caps, max_dim=int(env_n))
-    if getattr(args, "max_points", None):
-        caps = replace(caps, max_points=args.max_points)
+        caps = replace(caps, max_dim=_positive_cap(env_n, "SINGULACT_CAPS_N"))
+    max_points = getattr(args, "max_points", None)
+    if max_points is not None:
+        caps = replace(caps, max_points=_positive_cap(max_points, "--max-points"))
     return caps
 
 
@@ -280,7 +291,7 @@ def _cmd_alpha(job, out):
 def _cmd_milnor(job, out):
     vars = _need_vars(job.args)
     f = _need_poly(job.args, vars)
-    _print_report(milnor(f, job.caps), job, out)
+    _print_report(milnor(f), job, out)
     return EXIT_OK
 
 
@@ -344,7 +355,7 @@ def _cmd_check(job, out):
             _need_poly(args, vars), _need_poly(args, vars, attr="poly2")
         )
     elif name == "milnor-bound":
-        c = check_milnor_bound(_need_poly(args, vars), job.caps)
+        c = check_milnor_bound(_need_poly(args, vars))
     elif name == "dfem":
         c = check_dfem(_need_ideal(args, vars), job.caps)
     elif name == "minkowski":

@@ -245,9 +245,11 @@ def _diagonal_exponents(f: Poly):
     return exps
 
 
-def milnor(f: Poly, caps: PolyhedronCaps = DEFAULT_CAPS) -> InvariantReport:
+def milnor(f: Poly) -> InvariantReport:
     """Milnor number at the origin, for isolated singularities whose Jacobian
-    ideal is (after unit reduction) monomial and zero-dimensional."""
+    ideal is (after unit reduction) monomial and zero-dimensional.  Such an
+    ideal has at most n minimal generators, so it is (x_1^b_1, ..., x_n^b_n)
+    and the Milnor number is the product of the b_i."""
     _require_germ(f)
     echo = _echo_poly(f)
     diag = _diagonal_exponents(f)
@@ -269,21 +271,15 @@ def milnor(f: Poly, caps: PolyhedronCaps = DEFAULT_CAPS) -> InvariantReport:
             f"isolated: {echo}"
         )
     pure = _pure_power_exponents(jac)
-    if pure is not None:
-        value = 1
-        for b in pure:
-            value *= b
-        return InvariantReport(
-            "milnor", Fraction(value), "staircase-pure-powers", f.n, echo
+    if pure is None:
+        raise InternalInvariantError(
+            f"zero-dimensional monomial Jacobian is not pure powers: {echo}"
         )
-    e = newton.multiplicity(jac, caps)
+    value = 1
+    for b in pure:
+        value *= b
     return InvariantReport(
-        "milnor",
-        Fraction(e),
-        "multiplicity",
-        f.n,
-        echo,
-        assumes=["regular-sequence"],
+        "milnor", Fraction(value), "staircase-pure-powers", f.n, echo
     )
 
 
@@ -384,11 +380,11 @@ def check_madic(f: Poly, g: Poly) -> CheckOutcome:
     )
 
 
-def check_milnor_bound(f: Poly, caps: PolyhedronCaps = DEFAULT_CAPS) -> CheckOutcome:
+def check_milnor_bound(f: Poly) -> CheckOutcome:
     """beta >= n / (1 + mu^(1/n)), tested in the exact equivalent form
     (n/beta - 1)^n <= mu."""
     b = beta(f).value
-    mu = milnor(f, caps).value
+    mu = milnor(f).value
     n = f.n
     g = Fraction(n, 1) / b - 1
     if g <= 0:

@@ -2,8 +2,10 @@
 
 The polyhedron is conv(generator points) + the nonnegative orthant.  Membership
 and the diagonal threshold go through exact LP and work at any size; facet and
-vertex enumeration (and hence covolume / multiplicity) are exhaustive searches
-guarded by configurable caps.
+vertex enumeration are exhaustive searches guarded by configurable caps.  The
+covolume (and hence the multiplicity) is a sum of pyramids from the origin
+over the compact facets, as in Kouchnirenko, Polyedres de Newton et nombres de
+Milnor, Invent. Math. 1976.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import combinations
 
 from .errors import CapsExceededError, InputError, InternalInvariantError
 from .ideals import MonomialIdeal, is_zero_dimensional
-from .linalg import det, dot, nullspace, rank, solve_square
+from .linalg import det, dot, nullspace, rank
 from . import simplex
 
 
@@ -40,11 +42,7 @@ class FacetNormal:
 
 
 class NewtonPolyhedron:
-    """V-representation plus lazily computed facets and vertices.
-
-    The lazy caches are write-once: concurrent readers see either nothing or a
-    fully computed list.
-    """
+    """V-representation plus lazily computed facets and vertices."""
 
     __slots__ = ("n", "points", "_facets", "_vertices")
 
@@ -197,32 +195,23 @@ def integral_closure_member(a: MonomialIdeal, v) -> bool:
 
 def covolume(P: NewtonPolyhedron, caps: PolyhedronCaps = DEFAULT_CAPS) -> Fraction:
     """Exact volume of the bounded region of the nonnegative orthant outside
-    the polyhedron.  Requires the underlying ideal to be zero-dimensional so
-    that the region is bounded by the box [0, M]^n."""
+    the polyhedron.  Requires the underlying ideal to be zero-dimensional, so
+    that the region is the union of the pyramids from the origin over the
+    compact facets <u, x> = c (all u_i > 0).  Each pyramid has volume
+    c * vol_{n-1}(proj_0 F) / (n * u_0), where proj_0 F drops the first
+    coordinate of the facet's tight generators (Kouchnirenko, Polyedres de
+    Newton et nombres de Milnor, Invent. Math. 1976)."""
     ideal = MonomialIdeal(P.n, P.points)
     if not is_zero_dimensional(ideal):
         raise InputError("covolume requires a zero-dimensional ideal")
     _check_caps(P, caps)
     n = P.n
-    M = max(max(p) for p in P.points)
-    if M == 0:
-        return Fraction(0)
-    constraints = {(f.u, f.c) for f in facets(P, caps)}
-    for i in range(n):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-        ne = tuple(Fraction(-1) if j == i else Fraction(0) for j in range(n))
-        constraints.add((e, Fraction(0)))
-        constraints.add((ne, Fraction(-M)))
-    cons = sorted(constraints)
-    verts = set()
-    for C in combinations(cons, n):
-        sol = solve_square([list(u) for u, _ in C], [c for _, c in C])
-        if sol is None:
-            continue
-        if all(dot(u, sol) >= c for u, c in cons):
-            verts.add(tuple(sol))
-    vol_box_cap = _hull_volume(sorted(verts), n)
-    return Fraction(M) ** n - vol_box_cap
+    total = Fraction(0)
+    for f in facets(P, caps):
+        if all(x > 0 for x in f.u):
+            base = [p[1:] for p in P.points if dot(f.u, p) == f.c]
+            total += f.c * _hull_volume(base, n - 1) / (n * f.u[0])
+    return total
 
 
 def multiplicity(a: MonomialIdeal, caps: PolyhedronCaps = DEFAULT_CAPS) -> int:

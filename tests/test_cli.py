@@ -209,6 +209,36 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert "facet: u=(1,1,1,1,1) c=1" in out
 
+    def test_caps_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("SINGULACT_CAPS_N", "abc")
+        code, out, err = invoke("mult", "--vars", "x,y", "--ideal", "x^2, y^3")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "SINGULACT_CAPS_N" in err
+
+    def test_max_points_zero_rejected(self):
+        code, out, err = invoke(
+            "newton", "--vars", "x,y", "--ideal", "x^2, y^3", "--max-points", "0"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--max-points" in err
+
+    def test_max_points_negative_rejected(self):
+        code, out, err = invoke(
+            "newton", "--vars", "x,y", "--ideal", "x^2, y^3", "--max-points", "-5"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--max-points" in err
+
+    def test_max_points_applied(self):
+        code, _, err = invoke(
+            "newton", "--vars", "x,y", "--ideal", "x^2, y^3", "--max-points", "1"
+        )
+        assert code == EXIT_INPUT
+        assert "2 generators exceed cap 1" in err
+
 
 class TestScan:
     def test_diagonal_question1(self):

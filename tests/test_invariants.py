@@ -207,16 +207,8 @@ class TestMilnor:
             assert milnor(f).value == (d - 1) ** n
 
     def test_multiplicity_route(self):
-        # f = x^3 + x*y^2 is weighted homogeneous with Jacobian reducing to
-        # (x^2 + ...), not monomializable; but x^3 + y^2*x? use a support with
-        # monomial Jacobian that is not pure powers: f = x^3 + y^3 + x*y^2 has
-        # non-monomial Jacobian, so use f = x^4 + x*y^3 instead -> partials
-        # 4x^3 + y^3 (not monomializable). Fall back to an explicitly
-        # constructed case: f = x^2*y^2 is not isolated. Use diagonal with a
-        # mixed term whose partials stay monomial: f = x^3 + y^4 + x^2 y^2?
-        # partial_x = 3x^2 + 2xy^2 = x(3x + 2y^2): residual vanishes at 0.
-        # A clean non-pure-power monomial Jacobian needs include_f-style gens;
-        # assert the e(J') route through a direct diagonal cross-check instead.
+        # The Milnor number of a diagonal input equals the multiplicity of its
+        # monomial Jacobian ideal (x^2, y^3).
         f = diagonal((3, 4))
         from singulact.newton import multiplicity
         from singulact.ideals import monomialize
@@ -224,6 +216,22 @@ class TestMilnor:
 
         j = monomialize(jacobian_generators(f))
         assert multiplicity(j) == milnor(f).value == 6
+
+    def test_diagonal_route_matches_pure_powers(self):
+        # Adding the product of the pure powers leaves each partial a unit
+        # times x_i^(a_i - 1), so the same Milnor number comes out of the
+        # Jacobian staircase instead of the diagonal closed form.
+        rng = random.Random(31)
+        for _ in range(25):
+            exps = [rng.randint(1, 7) for _ in range(rng.randint(2, 4))]
+            n = len(exps)
+            f = diagonal(exps)
+            g = f + Poly(n, {tuple(exps): 1})
+            by_diagonal = milnor(f)
+            by_jacobian = milnor(g)
+            assert by_diagonal.method == "staircase-diagonal"
+            assert by_jacobian.method == "staircase-pure-powers"
+            assert by_diagonal.value == by_jacobian.value
 
     def test_unsupported_nonisolated(self):
         with pytest.raises(UnsupportedClassError):

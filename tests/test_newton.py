@@ -1,11 +1,14 @@
 """Newton polyhedron: membership, threshold, facets, vertices, volume."""
 
+import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from singulact import MonomialIdeal, ideal_contains, ideal_power, maximal_ideal
+from singulact import simplex
 from singulact.errors import CapsExceededError, InputError
 from singulact.newton import (
     PolyhedronCaps,
@@ -256,3 +259,98 @@ class TestCovolumeAndMultiplicity:
     def test_three_dimensional_corner(self):
         # P(x, y, z): complement is the corner simplex of volume 1/6.
         assert covolume(build(maximal_ideal(3))) == F(1, 6)
+
+
+def _outside_count(a, k):
+    """Lattice points of the orthant outside kP(a).  For each v' in the first
+    n - 1 coordinates, an LP over the generator antichain (never the facet
+    list) gives the least t with (v', t) in kP; the points below are those
+    with last coordinate < t.  kP is up-closed, so that least t does not grow
+    with v', and each loop stops at its first zero."""
+    n, gens = a.n, a.gens
+    m = len(gens)
+
+    @cache
+    def height(v):
+        # Variables lambda_1..lambda_m, s_1..s_n, t; minimize t.
+        rows, rhs = [], []
+        for i in range(n):
+            row = [F(k * g[i]) for g in gens]
+            row += [F(1) if j == i else F(0) for j in range(n)]
+            row.append(F(-1) if i == n - 1 else F(0))
+            rows.append(row)
+            rhs.append(F(v[i]) if i < n - 1 else F(0))
+        rows.append([F(1)] * m + [F(0)] * (n + 1))
+        rhs.append(F(1))
+        obj = [F(0)] * (m + n) + [F(1)]
+        result = simplex.solve(simplex.LinearProgram(obj, rows, rhs))
+        assert result.status == simplex.OPTIMAL
+        return math.ceil(result.value)
+
+    def walk(prefix):
+        if len(prefix) == n - 1:
+            return height(prefix)
+        pad = (0,) * (n - 2 - len(prefix))
+        total, i = 0, 0
+        while height(prefix + (i,) + pad) > 0:
+            total += walk(prefix + (i,))
+            i += 1
+        return total
+
+    return walk(())
+
+
+def _lattice_multiplicity(a):
+    """n! times the leading coefficient of the polynomial through the outside
+    counts at k = 1..n+1, by exact Lagrange interpolation."""
+    ks = range(1, a.n + 2)
+    lead = F(0)
+    for k in ks:
+        den = math.prod(k - j for j in ks if j != k)
+        lead += F(_outside_count(a, k), den)
+    return math.factorial(a.n) * lead
+
+
+class TestMultiplicityByLatticeCount:
+    """The covolume is the leading coefficient of the count of lattice points
+    outside kP, an Ehrhart-type polynomial of degree n; this route shares no
+    code with the facet pyramids of `covolume`."""
+
+    def test_outside_count_of_cusp(self):
+        # Points (i, j) with 3i + 2j < 6k: 3 + 2 for k = 1, 6 + 5 + 3 + 2
+        # for k = 2.
+        a = ideal(2, [(2, 0), (0, 3)])
+        assert [_outside_count(a, k) for k in (1, 2)] == [5, 16]
+
+    @pytest.mark.parametrize("n, top, count", [(2, 5, 12), (3, 3, 5)])
+    def test_random_zero_dimensional(self, n, top, count):
+        rng = random.Random(1729 + n)
+        for _ in range(count):
+            gens = [
+                tuple(rng.randint(1, top) if j == i else 0 for j in range(n))
+                for i in range(n)
+            ]
+            gens += [
+                tuple(rng.randint(0, top - 1) for _ in range(n))
+                for _ in range(rng.randint(0, 3))
+            ]
+            a = ideal(n, [g for g in gens if any(g)])
+            assert _lattice_multiplicity(a) == multiplicity(a), a.gens
+
+    @pytest.mark.parametrize(
+        "gens, e",
+        [
+            ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 1),
+            ([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)], 6),
+            ([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)], 16),
+        ],
+    )
+    def test_fixed_four_variables(self, gens, e):
+        a = ideal(4, gens)
+        assert _lattice_multiplicity(a) == multiplicity(a) == e
+
+    def test_pure_powers_four_variables(self):
+        for d in (1, 5, 20, 40):
+            gens = [tuple(d if j == i else 0 for j in range(4)) for i in range(4)]
+            a = ideal(4, gens)
+            assert multiplicity(a) == d**4
