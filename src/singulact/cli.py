@@ -25,6 +25,7 @@ from .errors import (
 )
 from .ideals import MonomialIdeal
 from .invariants import (
+    _milnor_bound,
     CheckOutcome,
     InvariantReport,
     alpha,
@@ -75,13 +76,11 @@ MAX_SCAN_CELLS = 100_000
 
 @dataclass
 class JobSpec:
-    """Parsed invocation: command, variables, payload, and flags."""
+    """Parsed invocation: command, output mode, caps, and the argparse
+    namespace with the payload and the per-command flags."""
 
     command: str
-    vars: VarTable | None
     json_output: bool
-    certificate: bool
-    include_f: bool
     caps: PolyhedronCaps
     args: argparse.Namespace
 
@@ -101,8 +100,6 @@ def _build_parser():
         if ideal:
             p.add_argument("--ideal", help="comma-separated monomial generators")
         p.add_argument("--json", action="store_true", dest="json_output")
-        p.add_argument("--certificate", action="store_true")
-        p.add_argument("--include-f", action="store_true", dest="include_f")
         p.add_argument(
             "--max-points", type=int, default=None,
             help="override the generator-count cap for facet enumeration",
@@ -110,8 +107,16 @@ def _build_parser():
 
     p = sub.add_parser("lct", help="log canonical threshold of a monomial ideal")
     common(p, ideal=True)
+    p.add_argument(
+        "--certificate", action="store_true",
+        help="compute by the facet dual and print the optimal facet",
+    )
     p = sub.add_parser("beta", help="threshold of (maximal ideal)*(Jacobian ideal)")
     common(p, poly=True)
+    p.add_argument(
+        "--include-f", action="store_true", dest="include_f",
+        help="add f itself to the Jacobian generators",
+    )
     p.add_argument(
         "--ordinary",
         metavar="N,D",
@@ -262,7 +267,7 @@ def _print_outcome(c: CheckOutcome, job: JobSpec, out) -> int:
 def _cmd_lct(job, out):
     vars = _need_vars(job.args)
     a = _need_ideal(job.args, vars)
-    r = lct_monomial_dual(a, job.caps) if job.certificate else lct_monomial(a)
+    r = lct_monomial_dual(a, job.caps) if job.args.certificate else lct_monomial(a)
     _print_report(r, job, out)
     return EXIT_OK
 
@@ -277,7 +282,7 @@ def _cmd_beta(job, out):
         return EXIT_OK
     vars = _need_vars(job.args)
     f = _need_poly(job.args, vars)
-    _print_report(beta(f, include_f=job.include_f), job, out)
+    _print_report(beta(f, include_f=job.args.include_f), job, out)
     return EXIT_OK
 
 
@@ -393,12 +398,13 @@ def _scan_diagonal(args, out, json_output):
                 for i, e in enumerate(exps)
             },
         )
-        a = alpha(f).value
-        b = beta(f).value
         if args.check == "question1":
             c = check_question1(f)
+            a, b = c.lhs, c.rhs
         else:
-            c = check_milnor_bound(f)
+            a = alpha(f).value
+            b = beta(f).value
+            c = _milnor_bound(f, b)
         verdict = "holds" if c.holds is True else (
             "violated" if c.holds is False else "indeterminate"
         )
@@ -565,10 +571,7 @@ def run(argv, out=None, err=None) -> int:
     try:
         job = JobSpec(
             command=args.command,
-            vars=None,
             json_output=getattr(args, "json_output", False),
-            certificate=getattr(args, "certificate", False),
-            include_f=getattr(args, "include_f", False),
             caps=_caps_from_env(args),
             args=args,
         )

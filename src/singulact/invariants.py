@@ -383,7 +383,11 @@ def check_madic(f: Poly, g: Poly) -> CheckOutcome:
 def check_milnor_bound(f: Poly) -> CheckOutcome:
     """beta >= n / (1 + mu^(1/n)), tested in the exact equivalent form
     (n/beta - 1)^n <= mu."""
-    b = beta(f).value
+    return _milnor_bound(f, beta(f).value)
+
+
+def _milnor_bound(f: Poly, b) -> CheckOutcome:
+    """The milnor-bound check for f whose beta is already known to be b."""
     mu = milnor(f).value
     n = f.n
     g = Fraction(n, 1) / b - 1

@@ -1,4 +1,10 @@
-"""Small exact linear-algebra helpers over Fraction (dense, desk scale)."""
+"""Small exact linear-algebra helpers over Fraction (dense, desk scale).
+
+There is one elimination kernel: `_pivot` makes a column a unit column, and
+`_echelon` runs it over the columns into reduced row-echelon form.  `rank`,
+`nullspace`, `solve_square` and `det` read their answers off that form, and
+the exact simplex pivots its tableau with the same `_pivot`.
+"""
 
 from __future__ import annotations
 
@@ -9,47 +15,53 @@ def _copy(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _pivot(m, r, col):
+    """Scale row r so that m[r][col] == 1, then clear column col in every
+    other row, in place."""
+    inv = 1 / m[r][col]
+    pr = m[r] = [x * inv for x in m[r]]
+    for i, row in enumerate(m):
+        factor = row[col]
+        if i != r and factor != 0:
+            m[i] = [a - factor * b for a, b in zip(row, pr)]
+
+
+def _echelon(m, ncols):
+    """Reduce m in place to reduced row-echelon form over its first ncols
+    columns.  Returns the pivot columns, the pivot entries as found (before
+    scaling) and the number of row swaps."""
+    pivots, entries, swaps = [], [], 0
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            swaps += 1
+        entries.append(m[r][col])
+        _pivot(m, r, col)
+        pivots.append(col)
+    return pivots, entries, swaps
+
+
 def rank(rows) -> int:
     """Row rank by Gaussian elimination."""
     if not rows:
         return 0
     m = _copy(rows)
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pr = m[r]
-        inv = 1 / pr[col]
-        m[r] = [x * inv for x in pr]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return len(_echelon(m, len(m[0]))[0])
 
 
 def solve_square(a, b):
     """Solve A x = b for square A; None if A is singular."""
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
+    if len(_echelon(m, n)[0]) < n:
+        return None
+    return [row[n] for row in m]
 
 
 def nullspace(rows):
@@ -58,54 +70,29 @@ def nullspace(rows):
         return []
     m = _copy(rows)
     ncols = len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots = _echelon(m, ncols)[0]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][fc]
+        for row, pc in zip(m, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
 
 def det(a) -> Fraction:
-    """Determinant by fraction-exact elimination."""
+    """Determinant: the product of the pivot entries, signed by the swaps."""
     n = len(a)
-    m = _copy(a)
-    sign = 1
-    acc = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        acc *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                factor = m[i][col] * inv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
-    return sign * acc
+    pivots, entries, swaps = _echelon(_copy(a), n)
+    if len(pivots) < n:
+        return Fraction(0)
+    acc = Fraction(-1 if swaps % 2 else 1)
+    for x in entries:
+        acc *= x
+    return acc
 
 
 def dot(u, v) -> Fraction:

@@ -1,11 +1,13 @@
 """Newton polyhedron of a monomial ideal.
 
 The polyhedron is conv(generator points) + the nonnegative orthant.  Membership
-and the diagonal threshold go through exact LP and work at any size; facet and
-vertex enumeration are exhaustive searches guarded by configurable caps.  The
-covolume (and hence the multiplicity) is a sum of pyramids from the origin
-over the compact facets, as in Kouchnirenko, Polyedres de Newton et nombres de
-Milnor, Invent. Math. 1976.
+and the diagonal threshold go through exact LP and work at any size.  Facets
+come from one exhaustive face enumerator, `_faces`, guarded by configurable
+caps; it also returns the generators on each facet, and vertices and the
+covolume read those incidences.  The same enumerator, without recession rays,
+triangulates polytopes for exact volumes.  The covolume (and hence the
+multiplicity) is a sum of pyramids from the origin over the compact facets, as
+in Kouchnirenko, Polyedres de Newton et nombres de Milnor, Invent. Math. 1976.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations
 
 from .errors import CapsExceededError, InputError, InternalInvariantError
 from .ideals import MonomialIdeal, is_zero_dimensional
-from .linalg import det, dot, nullspace, rank
+from .linalg import det, nullspace, rank
 from . import simplex
 
 
@@ -44,12 +46,13 @@ class FacetNormal:
 class NewtonPolyhedron:
     """V-representation plus lazily computed facets and vertices."""
 
-    __slots__ = ("n", "points", "_facets", "_vertices")
+    __slots__ = ("n", "points", "_facets", "_tight", "_vertices")
 
     def __init__(self, n, points):
         self.n = n
         self.points = tuple(sorted(tuple(p) for p in points))
         self._facets = None
+        self._tight = None  # point indices on each facet, parallel to _facets
         self._vertices = None
 
     def __repr__(self):
@@ -118,70 +121,29 @@ def _check_caps(P: NewtonPolyhedron, caps: PolyhedronCaps):
         )
 
 
-def _canonical(u, c):
-    scale = next(x for x in u if x != 0)
-    return tuple(x / scale for x in u), c / scale
-
-
 def facets(P: NewtonPolyhedron, caps: PolyhedronCaps = DEFAULT_CAPS):
-    """All facet inequalities <u, x> >= c, u >= 0, by exhaustive search over
-    subsets of generator points and coordinate recession rays."""
-    if P._facets is not None:
-        return P._facets
+    """All facet inequalities <u, x> >= c, u >= 0, of conv(generators) plus
+    the orthant, with u scaled so that its first nonzero entry is 1."""
     _check_caps(P, caps)
-    pts = P.points
-    n = P.n
-    unit = [
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-        for i in range(n)
-    ]
-    found = {}
-    for s_size in range(1, n + 1):
-        for S in combinations(range(len(pts)), s_size):
-            for R in combinations(range(n), n - s_size):
-                rows = [list(pts[j]) + [Fraction(-1)] for j in S]
-                rows += [list(unit[i]) + [Fraction(0)] for i in R]
-                ns = nullspace(rows)
-                if len(ns) != 1:
-                    continue
-                vec = ns[0]
-                u, c = vec[:n], vec[n]
-                if all(x == 0 for x in u):
-                    continue
-                if any(x < 0 for x in u):
-                    if any(x > 0 for x in u):
-                        continue
-                    u = [-x for x in u]
-                    c = -c
-                vals = [dot(u, p) for p in pts]
-                if min(vals) != c:
-                    continue
-                tight = [pts[i] for i, val in enumerate(vals) if val == c]
-                dirs = [
-                    [a - b for a, b in zip(p, tight[0])] for p in tight[1:]
-                ]
-                dirs += [list(unit[i]) for i in range(n) if u[i] == 0]
-                if n > 1 and rank(dirs) != n - 1:
-                    continue
-                cu, cc = _canonical(u, c)
-                found[(cu, cc)] = FacetNormal(cu, cc)
-    result = sorted(found.values(), key=lambda f: (f.u, f.c))
-    P._facets = result
-    return result
+    if P._facets is None:
+        n = P.n
+        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        faces = _faces(P.points, unit, n)
+        P._facets = [FacetNormal(u, c) for u, c, _ in faces]
+        P._tight = [tight for _, _, tight in faces]
+    return P._facets
 
 
 def vertices(P: NewtonPolyhedron, caps: PolyhedronCaps = DEFAULT_CAPS):
     """Generator points tight on n linearly independent facets."""
-    if P._vertices is not None:
-        return P._vertices
     fs = facets(P, caps)
-    out = []
-    for p in P.points:
-        tight = [list(f.u) for f in fs if dot(f.u, p) == f.c]
-        if rank(tight) == P.n:
-            out.append(tuple(Fraction(x) for x in p))
-    P._vertices = out
-    return out
+    if P._vertices is None:
+        P._vertices = [
+            tuple(Fraction(x) for x in p)
+            for i, p in enumerate(P.points)
+            if rank([f.u for f, tight in zip(fs, P._tight) if i in tight]) == P.n
+        ]
+    return P._vertices
 
 
 def integral_closure_member(a: MonomialIdeal, v) -> bool:
@@ -204,12 +166,11 @@ def covolume(P: NewtonPolyhedron, caps: PolyhedronCaps = DEFAULT_CAPS) -> Fracti
     ideal = MonomialIdeal(P.n, P.points)
     if not is_zero_dimensional(ideal):
         raise InputError("covolume requires a zero-dimensional ideal")
-    _check_caps(P, caps)
     n = P.n
     total = Fraction(0)
-    for f in facets(P, caps):
+    for f, tight in zip(facets(P, caps), P._tight):
         if all(x > 0 for x in f.u):
-            base = [p[1:] for p in P.points if dot(f.u, p) == f.c]
+            base = [P.points[i][1:] for i in tight]
             total += f.c * _hull_volume(base, n - 1) / (n * f.u[0])
     return total
 
@@ -230,34 +191,38 @@ def multiplicity(a: MonomialIdeal, caps: PolyhedronCaps = DEFAULT_CAPS) -> int:
 # -- exact polytope volume ----------------------------------------------------
 
 
-def _polytope_facets(pts, d):
-    """Facets of conv(pts) in R^d as (normal, offset, tight index tuple) with
-    <u, x> >= c on all points.  Brute force over d-subsets."""
+def _value(u, x):
+    return sum(a * b for a, b in zip(u, x))
+
+
+def _faces(points, rays, d):
+    """Facets of conv(points) + cone(rays) in R^d, sorted, as (u, c, tight):
+    <u, x> >= c holds on the polyhedron, the first nonzero entry of u is +-1,
+    and tight lists the indices of the points on the facet.  Brute force: each
+    candidate hyperplane passes through s points and is parallel to d - s
+    rays, and is kept when the polyhedron lies on one side of it."""
     found = {}
-    for C in combinations(range(len(pts)), d):
-        base = pts[C[0]]
-        diffs = [[a - b for a, b in zip(pts[j], base)] for j in C[1:]]
-        ns = nullspace(diffs) if diffs else nullspace([[Fraction(0)] * d])
-        if len(ns) != 1:
-            continue
-        u = ns[0]
-        c = dot(u, base)
-        vals = [dot(u, p) for p in pts]
-        if all(v >= c for v in vals):
-            pass
-        elif all(v <= c for v in vals):
-            u = [-x for x in u]
-            c = -c
-            vals = [-v for v in vals]
-        else:
-            continue
-        tight = tuple(i for i, v in enumerate(vals) if v == c)
-        base_t = pts[tight[0]]
-        span = [[a - b for a, b in zip(pts[i], base_t)] for i in tight[1:]]
-        if d > 1 and rank(span) != d - 1:
-            continue
-        found[tight] = (tuple(u), c, tight)
-    return list(found.values())
+    for s in range(max(1, d - len(rays)), d + 1):
+        for S in combinations(range(len(points)), s):
+            base = points[S[0]]
+            diffs = [[a - b for a, b in zip(points[j], base)] for j in S[1:]]
+            for R in combinations(rays, d - s):
+                ns = nullspace(diffs + list(R) or [[0] * d])
+                if len(ns) != 1:
+                    continue
+                u = ns[0]
+                c = _value(u, base)
+                ray_vals = [_value(u, r) for r in rays]
+                vals = [_value(u, p) for p in points]
+                below = min(ray_vals, default=0) < 0 or min(vals) < c
+                if below and (max(ray_vals, default=0) > 0 or max(vals) > c):
+                    continue
+                tight = tuple(i for i, v in enumerate(vals) if v == c)
+                if below:
+                    u, c = [-x for x in u], -c
+                scale = abs(next(x for x in u if x != 0))
+                found[tuple(x / scale for x in u), c / scale] = tight
+    return [(u, c, tight) for (u, c), tight in sorted(found.items())]
 
 
 def _triangulate(pts, d):
@@ -269,7 +234,7 @@ def _triangulate(pts, d):
         lo = min(range(len(pts)), key=lambda i: pts[i])
         hi = max(range(len(pts)), key=lambda i: pts[i])
         return [] if pts[lo] == pts[hi] else [(lo, hi)]
-    fs = _polytope_facets(pts, d)
+    fs = _faces(pts, (), d)
     if not fs:
         return []
     apex = min(range(len(pts)), key=lambda i: pts[i])

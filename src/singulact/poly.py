@@ -210,7 +210,7 @@ def order_at_origin(f: Poly):
     return min(sum(v) for v in f.terms)
 
 
-def quasi_homogeneous_weights(f: Poly, solver=None):
+def quasi_homogeneous_weights(f: Poly):
     """Positive weights w with <w, v> = 1 on the support of f, or None.
 
     When the linear system is underdetermined, returns the solution maximizing

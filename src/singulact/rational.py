@@ -49,14 +49,7 @@ class _Infinity:
 
 INF = _Infinity()
 
-# An extended rational is either a Fraction or INF.
-ExtRat = "Fraction | _Infinity"
-
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
-
-def is_infinite(v) -> bool:
-    return v is INF
 
 
 def format_rat(v) -> str:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InternalInvariantError
+from .linalg import _pivot, solve_square
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -73,16 +74,6 @@ def _iterate(tableau, basis, cost, allowed_cols):
             return UNBOUNDED
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
-
-
-def _pivot(tableau, row, col):
-    inv = 1 / tableau[row][col]
-    tableau[row] = [x * inv for x in tableau[row]]
-    pr = tableau[row]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            factor = tableau[i][col]
-            tableau[i] = [a - factor * b for a, b in zip(tableau[i], pr)]
 
 
 def solve(lp: LinearProgram) -> LpResult:
@@ -157,8 +148,6 @@ def solve(lp: LinearProgram) -> LpResult:
 
 
 def _dual_solution(lp, rows, sign, basis, row_index):
-    from .linalg import solve_square
-
     mm = len(basis)
     # B^T y = c_B over the surviving rows, then map back with row signs.
     bt = [[rows[row_index[r]][basis[i]] for r in range(mm)] for i in range(mm)]

@@ -199,6 +199,32 @@ class TestExitCodes:
         code, _, _ = invoke("frobnicate")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mult", "--vars", "x,y", "--ideal", "x^2, y^3", "--certificate"],
+            ["mult", "--vars", "x,y", "--ideal", "x^2, y^3", "--include-f"],
+            ["newton", "--vars", "x,y", "--ideal", "x^2, y^3", "--certificate"],
+            ["lct", "--vars", "x,y", "--ideal", "x^2, y^3", "--include-f"],
+            ["beta", "--vars", "x,y", "--poly", "x^2 + y^3", "--certificate"],
+            ["alpha", "--vars", "x,y", "--poly", "x^2 + y^3", "--include-f"],
+            ["check", "question1", "--vars", "x,y", "--poly", "x^2 + y^3",
+             "--certificate"],
+        ],
+    )
+    def test_flag_of_another_subcommand_rejected(self, argv, capsys):
+        code, out, _ = invoke(*argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_include_f_on_beta(self):
+        code, out, _ = invoke(
+            "beta", "--vars", "x,y", "--poly", "x^2*y^3", "--include-f"
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "beta = 2/5"
+
     def test_caps_env_override(self, monkeypatch):
         gens = ",".join(f"x{i+1}" for i in range(5))
         code, _, err = invoke("newton", "--vars", gens, "--ideal", gens)

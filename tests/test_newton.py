@@ -96,6 +96,18 @@ class TestFacets:
         with pytest.raises(CapsExceededError):
             facets(build(maximal_ideal(2)), PolyhedronCaps(max_dim=1))
 
+    def test_caps_checked_after_cache(self):
+        P = build(ideal(2, [(2, 0), (1, 1), (0, 3)]))
+        assert len(facets(P)) == 4
+        assert len(vertices(P)) == 3
+        tight = PolyhedronCaps(max_dim=1)
+        with pytest.raises(CapsExceededError):
+            facets(P, tight)
+        with pytest.raises(CapsExceededError):
+            vertices(P, tight)
+        with pytest.raises(CapsExceededError):
+            vertices(build(ideal(2, [(2, 0), (0, 3)])), PolyhedronCaps(max_points=1))
+
     def test_soundness_random(self):
         rng = random.Random(11)
         from singulact.linalg import dot, rank
