@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / all checks hold, 1 input error, 2 unsupported input
 class, 3 check violated or indeterminate, 4 internal invariant violation.
-Results go to stdout, diagnostics to stderr.
+Results go to stdout, diagnostics to stderr.  The argument parser is built on
+the first call of `run` and reused by every later call in the process.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from . import newton
@@ -85,8 +87,22 @@ class JobSpec:
     args: argparse.Namespace
 
 
+class _UsageError(Exception):
+    """A rejected command line, with argparse's usage line and message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises `_UsageError` where argparse would print to sys.stderr and
+    exit, so that `run` reports the error on its own `err` stream.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+@cache
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="singulact",
         description="Exact singularity invariants of hypersurfaces and "
         "monomial ideals.",
@@ -563,10 +579,12 @@ _HANDLERS = {
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        err.write(str(exc))
+        return EXIT_INPUT
+    except SystemExit as exc:  # --help
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         job = JobSpec(

@@ -458,6 +458,8 @@ def check_minkowski(
         raise InputError("dimension mismatch")
     if not (is_zero_dimensional(a) and is_zero_dimensional(b)):
         raise InputError("check requires zero-dimensional ideals")
+    if a.is_unit or b.is_unit:
+        raise InputError("unit ideal rejected (a generator is the origin)")
     n = a.n
     e_ab = newton.multiplicity(ideal_product(a, b), caps)
     e_a = newton.multiplicity(a, caps)

@@ -8,6 +8,13 @@ covolume read those incidences.  The same enumerator, without recession rays,
 triangulates polytopes for exact volumes.  The covolume (and hence the
 multiplicity) is a sum of pyramids from the origin over the compact facets, as
 in Kouchnirenko, Polyedres de Newton et nombres de Milnor, Invent. Math. 1976.
+
+`build` shares polyhedra: it returns the same `NewtonPolyhedron` for the same
+minimal generators from a table of the `RECENT_POLYHEDRA` most recently built
+ones, so the diagonal threshold and the facets of a polyhedron are computed
+once per process while it stays in the table.  Nothing persists across
+processes and no option controls the table.  Caps are checked on every call,
+and the stored facets and vertices are handed out as fresh lists.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import CapsExceededError, InputError, InternalInvariantError
@@ -43,14 +51,20 @@ class FacetNormal:
     c: Fraction
 
 
-class NewtonPolyhedron:
-    """V-representation plus lazily computed facets and vertices."""
+RECENT_POLYHEDRA = 32  # polyhedra kept in the table that `build` shares
 
-    __slots__ = ("n", "points", "_facets", "_tight", "_vertices")
+
+class NewtonPolyhedron:
+    """V-representation plus the lazily computed diagonal threshold, facets
+    and vertices, stored as tuples.  Instances from `build` are shared by
+    every caller that asks for the same ideal while it is in the table."""
+
+    __slots__ = ("n", "points", "_threshold", "_facets", "_tight", "_vertices")
 
     def __init__(self, n, points):
         self.n = n
         self.points = tuple(sorted(tuple(p) for p in points))
+        self._threshold = None
         self._facets = None
         self._tight = None  # point indices on each facet, parallel to _facets
         self._vertices = None
@@ -60,9 +74,17 @@ class NewtonPolyhedron:
 
 
 def build(a: MonomialIdeal) -> NewtonPolyhedron:
+    """The Newton polyhedron of a nonzero monomial ideal, shared with earlier
+    callers when one of the `RECENT_POLYHEDRA` most recently built has the
+    same minimal generators.  The table lives in this process only."""
     if a.is_zero:
         raise InputError("Newton polyhedron of the zero ideal")
-    return NewtonPolyhedron(a.n, a.gens)
+    return _shared(a.n, a.gens)
+
+
+@lru_cache(maxsize=RECENT_POLYHEDRA)
+def _shared(n, gens):
+    return NewtonPolyhedron(n, gens)
 
 
 def contains(P: NewtonPolyhedron, q) -> bool:
@@ -90,7 +112,10 @@ def contains(P: NewtonPolyhedron, q) -> bool:
 
 
 def diagonal_threshold(P: NewtonPolyhedron) -> Fraction:
-    """Least t with (t, ..., t) in the polyhedron, by exact LP."""
+    """Least t with (t, ..., t) in the polyhedron, by exact LP, solved once
+    per polyhedron."""
+    if P._threshold is not None:
+        return P._threshold
     m = len(P.points)
     n = P.n
     # Variables: lambda_1..lambda_m, s_1..s_n, t.
@@ -107,6 +132,7 @@ def diagonal_threshold(P: NewtonPolyhedron) -> Fraction:
     result = simplex.solve(simplex.LinearProgram(obj, rows, rhs))
     if result.status != simplex.OPTIMAL:
         raise InternalInvariantError("diagonal threshold LP must be feasible")
+    P._threshold = result.value
     return result.value
 
 
@@ -123,27 +149,29 @@ def _check_caps(P: NewtonPolyhedron, caps: PolyhedronCaps):
 
 def facets(P: NewtonPolyhedron, caps: PolyhedronCaps = DEFAULT_CAPS):
     """All facet inequalities <u, x> >= c, u >= 0, of conv(generators) plus
-    the orthant, with u scaled so that its first nonzero entry is 1."""
+    the orthant, with u scaled so that its first nonzero entry is 1, as a
+    new list on every call."""
     _check_caps(P, caps)
     if P._facets is None:
         n = P.n
         unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         faces = _faces(P.points, unit, n)
-        P._facets = [FacetNormal(u, c) for u, c, _ in faces]
-        P._tight = [tight for _, _, tight in faces]
-    return P._facets
+        P._facets = tuple(FacetNormal(u, c) for u, c, _ in faces)
+        P._tight = tuple(tight for _, _, tight in faces)
+    return list(P._facets)
 
 
 def vertices(P: NewtonPolyhedron, caps: PolyhedronCaps = DEFAULT_CAPS):
-    """Generator points tight on n linearly independent facets."""
+    """Generator points tight on n linearly independent facets, as a new list
+    on every call."""
     fs = facets(P, caps)
     if P._vertices is None:
-        P._vertices = [
+        P._vertices = tuple(
             tuple(Fraction(x) for x in p)
             for i, p in enumerate(P.points)
             if rank([f.u for f, tight in zip(fs, P._tight) if i in tight]) == P.n
-        ]
-    return P._vertices
+        )
+    return list(P._vertices)
 
 
 def integral_closure_member(a: MonomialIdeal, v) -> bool:

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,9 @@ from singulact.cli import (
     EXIT_UNSUPPORTED,
     run,
 )
+
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
 def invoke(*argv):
@@ -175,6 +179,18 @@ class TestChecks:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "pair", [("1", "x, y"), ("x, y", "1")], ids=["ideal", "ideal2"]
+    )
+    def test_minkowski_unit_ideal_rejected(self, pair):
+        code, out, err = invoke(
+            "check", "minkowski", "--vars", "x,y",
+            "--ideal", pair[0], "--ideal2", pair[1],
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "unit ideal rejected" in err
+
 
 class TestExitCodes:
     def test_input_error_on_bad_parse(self):
@@ -213,10 +229,12 @@ class TestExitCodes:
         ],
     )
     def test_flag_of_another_subcommand_rejected(self, argv, capsys):
-        code, out, _ = invoke(*argv)
+        code, out, err = invoke(*argv)
         assert code == EXIT_INPUT
         assert out == ""
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert err.startswith("usage: singulact")
+        assert "unrecognized arguments" in err
+        assert capsys.readouterr().err == ""
 
     def test_include_f_on_beta(self):
         code, out, _ = invoke(
@@ -319,3 +337,38 @@ class TestRegistry:
         payload = json.loads(out)
         assert all(e["method"] == "registry" for e in payload["entries"])
         assert payload["question1"]["holds"] is True
+
+
+class TestReuse:
+    """One process answers many requests through one parser and one table of
+    recent Newton polyhedra; no request may change another's answer."""
+
+    def test_golden_corpus_in_any_order(self):
+        backwards = GOLDEN[::-1]
+        interleaved = [c for pair in zip(GOLDEN, backwards) for c in pair]
+        for case in GOLDEN + backwards + interleaved:
+            code, out, _ = invoke(*case["argv"])
+            assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+    IDEAL = ["--vars", "x,y,z", "--ideal", "x^2, y^3, z^4, x*y*z"]
+
+    @pytest.mark.parametrize(
+        "command", [["newton"], ["mult"], ["lct", "--certificate"]]
+    )
+    def test_max_points_checked_on_stored_polyhedron(self, command):
+        assert invoke(*command, *self.IDEAL)[0] == EXIT_OK
+        code, out, err = invoke(*command, *self.IDEAL, "--max-points", "1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "4 generators exceed cap 1" in err
+
+    @pytest.mark.parametrize(
+        "command", [["newton"], ["mult"], ["lct", "--certificate"]]
+    )
+    def test_dimension_cap_checked_on_stored_polyhedron(self, command, monkeypatch):
+        assert invoke(*command, *self.IDEAL)[0] == EXIT_OK
+        monkeypatch.setenv("SINGULACT_CAPS_N", "2")
+        code, out, err = invoke(*command, *self.IDEAL)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "dimension 3 exceeds cap 2" in err

@@ -8,9 +8,10 @@ from functools import cache
 import pytest
 
 from singulact import MonomialIdeal, ideal_contains, ideal_power, maximal_ideal
-from singulact import simplex
+from singulact import newton, simplex
 from singulact.errors import CapsExceededError, InputError
 from singulact.newton import (
+    NewtonPolyhedron,
     PolyhedronCaps,
     build,
     contains,
@@ -150,6 +151,39 @@ class TestVertices:
     def test_midpoint_dropped(self):
         got = vertices(build(ideal(2, [(2, 0), (1, 1), (0, 2)])))
         assert set(got) == {(2, 0), (0, 2)}
+
+
+class TestSharedPolyhedra:
+    def test_same_generators_share_one_polyhedron(self):
+        a = ideal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 1)])
+        b = ideal(3, [(1, 1, 1), (2, 2, 2), (0, 0, 4), (0, 3, 0), (2, 0, 0)])
+        assert build(a) is build(b)
+
+    def test_threshold_lp_solved_once(self, monkeypatch):
+        solved = []
+        solve = simplex.solve
+        monkeypatch.setattr(simplex, "solve", lambda lp: solved.append(lp) or solve(lp))
+        P = NewtonPolyhedron(2, [(2, 0), (0, 3)])
+        assert diagonal_threshold(P) == diagonal_threshold(P) == F(6, 5)
+        assert len(solved) == 1
+
+    def test_table_is_bounded(self):
+        first = build(ideal(2, [(1, 0), (0, 1000)]))
+        for d in range(100):
+            build(ideal(2, [(2 + d, 0), (0, 2000 + d)]))
+        assert newton._shared.cache_info().currsize <= newton.RECENT_POLYHEDRA
+        assert build(ideal(2, [(1, 0), (0, 1000)])) is not first
+
+    def test_returned_lists_are_copies(self):
+        P = build(ideal(2, [(2, 0), (1, 1), (0, 3)]))
+        fs, vs = facets(P), vertices(P)
+        want_f, want_v = list(fs), list(vs)
+        fs.clear()
+        vs.append((F(9), F(9)))
+        vs.reverse()
+        assert facets(P) == want_f
+        assert vertices(P) == want_v
+        assert multiplicity(ideal(2, [(2, 0), (1, 1), (0, 3)])) == 5
 
 
 class TestMembershipOracleAgreement:
