@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / all checks hold, 1 input error, 2 unsupported input
 class, 3 check violated or indeterminate, 4 internal invariant violation.
-Results go to stdout, diagnostics to stderr.  The argument parser is built on
-the first call of `run` and reused by every later call in the process.
+Results and help go to stdout, diagnostics and warnings to stderr.  The
+argument parser is built on the first call of `run` and reused by every later
+call in the process.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import random
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -91,13 +93,20 @@ class _UsageError(Exception):
     """A rejected command line, with argparse's usage line and message."""
 
 
+class _Help(Exception):
+    """A request for help, with the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises `_UsageError` where argparse would print to sys.stderr and
-    exit, so that `run` reports the error on its own `err` stream.
-    Subparsers are built from the same class."""
+    """Raises `_UsageError` or `_Help` where argparse would print to
+    sys.stderr or sys.stdout and exit, so that `run` writes the text to its
+    own `err` or `out` stream.  Subparsers are built from the same class."""
 
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 @cache
@@ -393,8 +402,8 @@ def _cmd_check(job, out):
 def _scan_diagonal(args, out, json_output):
     n = args.dim
     max_exp = args.max_exp
-    if n > 4 or max_exp > 9:
-        raise InputError("scan caps: n <= 4 and max exponent <= 9")
+    if not (1 <= n <= 4 and 2 <= max_exp <= 9):
+        raise InputError("scan caps: 1 <= n <= 4 and 2 <= max exponent <= 9")
     cells = (max_exp - 1) ** n
     if cells > args.max_cells:
         raise InputError(
@@ -577,15 +586,28 @@ _HANDLERS = {
 
 
 def run(argv, out=None, err=None) -> int:
+    """Answer one command line on out and err; warnings raised while
+    answering go to err on every call, not once per process."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, diagnostic = _answer(argv, out)
+    for w in caught:
+        print(f"warning: {w.message}", file=err)
+    err.write(diagnostic)
+    return code
+
+
+def _answer(argv, out):
+    """The exit code and the diagnostic text for one command line."""
     try:
         args = _build_parser().parse_args(argv)
+    except _Help as exc:
+        out.write(str(exc))
+        return EXIT_OK, ""
     except _UsageError as exc:
-        err.write(str(exc))
-        return EXIT_INPUT
-    except SystemExit as exc:  # --help
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+        return EXIT_INPUT, str(exc)
     try:
         job = JobSpec(
             command=args.command,
@@ -593,19 +615,15 @@ def run(argv, out=None, err=None) -> int:
             caps=_caps_from_env(args),
             args=args,
         )
-        return _HANDLERS[args.command](job, out)
+        return _HANDLERS[args.command](job, out), ""
     except UnsupportedClassError as exc:
-        print(f"unsupported input class: {exc}", file=err)
-        return EXIT_UNSUPPORTED
+        return EXIT_UNSUPPORTED, f"unsupported input class: {exc}\n"
     except InternalInvariantError as exc:
-        print(f"internal invariant violation: {exc}", file=err)
-        return EXIT_INTERNAL
+        return EXIT_INTERNAL, f"internal invariant violation: {exc}\n"
     except InputError as exc:
-        print(f"input error: {exc}", file=err)
-        return EXIT_INPUT
+        return EXIT_INPUT, f"input error: {exc}\n"
     except SingulactError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_INPUT
+        return EXIT_INPUT, f"error: {exc}\n"
 
 
 def main():

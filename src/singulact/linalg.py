@@ -2,8 +2,8 @@
 
 There is one elimination kernel: `_pivot` makes a column a unit column, and
 `_echelon` runs it over the columns into reduced row-echelon form.  `rank`,
-`nullspace`, `solve_square` and `det` read their answers off that form, and
-the exact simplex pivots its tableau with the same `_pivot`.
+`nullspace` and `solve_square` read their answers off that form, and the
+exact simplex pivots its tableau with the same `_pivot`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ def _pivot(m, r, col):
 
 def _echelon(m, ncols):
     """Reduce m in place to reduced row-echelon form over its first ncols
-    columns.  Returns the pivot columns, the pivot entries as found (before
-    scaling) and the number of row swaps."""
-    pivots, entries, swaps = [], [], 0
+    columns.  Returns the pivot columns."""
+    pivots = []
     for col in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -38,13 +37,10 @@ def _echelon(m, ncols):
         p = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if p is None:
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            swaps += 1
-        entries.append(m[r][col])
+        m[r], m[p] = m[p], m[r]
         _pivot(m, r, col)
         pivots.append(col)
-    return pivots, entries, swaps
+    return pivots
 
 
 def rank(rows) -> int:
@@ -52,14 +48,14 @@ def rank(rows) -> int:
     if not rows:
         return 0
     m = _copy(rows)
-    return len(_echelon(m, len(m[0]))[0])
+    return len(_echelon(m, len(m[0])))
 
 
 def solve_square(a, b):
     """Solve A x = b for square A; None if A is singular."""
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    if len(_echelon(m, n)[0]) < n:
+    if len(_echelon(m, n)) < n:
         return None
     return [row[n] for row in m]
 
@@ -70,7 +66,7 @@ def nullspace(rows):
         return []
     m = _copy(rows)
     ncols = len(m[0])
-    pivots = _echelon(m, ncols)[0]
+    pivots = _echelon(m, ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -81,18 +77,6 @@ def nullspace(rows):
             vec[pc] = -row[fc]
         basis.append(vec)
     return basis
-
-
-def det(a) -> Fraction:
-    """Determinant: the product of the pivot entries, signed by the swaps."""
-    n = len(a)
-    pivots, entries, swaps = _echelon(_copy(a), n)
-    if len(pivots) < n:
-        return Fraction(0)
-    acc = Fraction(-1 if swaps % 2 else 1)
-    for x in entries:
-        acc *= x
-    return acc
 
 
 def dot(u, v) -> Fraction:

@@ -4,10 +4,11 @@ The polyhedron is conv(generator points) + the nonnegative orthant.  Membership
 and the diagonal threshold go through exact LP and work at any size.  Facets
 come from one exhaustive face enumerator, `_faces`, guarded by configurable
 caps; it also returns the generators on each facet, and vertices and the
-covolume read those incidences.  The same enumerator, without recession rays,
-triangulates polytopes for exact volumes.  The covolume (and hence the
-multiplicity) is a sum of pyramids from the origin over the compact facets, as
-in Kouchnirenko, Polyedres de Newton et nombres de Milnor, Invent. Math. 1976.
+covolume read those incidences.  Every volume is a sum of pyramids over
+facets: the covolume (and hence the multiplicity) sums them from the origin
+over the compact facets, as in Kouchnirenko, Polyedres de Newton et nombres de
+Milnor, Invent. Math. 1976, and the volume of each facet sums them from one of
+its points over its own facets, found by the same enumerator without rays.
 
 `build` shares polyhedra: it returns the same `NewtonPolyhedron` for the same
 minimal generators from a table of the `RECENT_POLYHEDRA` most recently built
@@ -27,7 +28,7 @@ from itertools import combinations
 
 from .errors import CapsExceededError, InputError, InternalInvariantError
 from .ideals import MonomialIdeal, is_zero_dimensional
-from .linalg import det, nullspace, rank
+from .linalg import nullspace, rank
 from . import simplex
 
 
@@ -188,19 +189,16 @@ def covolume(P: NewtonPolyhedron, caps: PolyhedronCaps = DEFAULT_CAPS) -> Fracti
     the polyhedron.  Requires the underlying ideal to be zero-dimensional, so
     that the region is the union of the pyramids from the origin over the
     compact facets <u, x> = c (all u_i > 0).  Each pyramid has volume
-    c * vol_{n-1}(proj_0 F) / (n * u_0), where proj_0 F drops the first
-    coordinate of the facet's tight generators (Kouchnirenko, Polyedres de
-    Newton et nombres de Milnor, Invent. Math. 1976)."""
+    c * vol_{n-1}(proj_0 F) / n, where proj_0 F drops the first coordinate of
+    the facet's tight generators and u_0 = 1 by the facets' scaling
+    (Kouchnirenko, Polyedres de Newton et nombres de Milnor, Invent. Math.
+    1976)."""
     ideal = MonomialIdeal(P.n, P.points)
     if not is_zero_dimensional(ideal):
         raise InputError("covolume requires a zero-dimensional ideal")
-    n = P.n
-    total = Fraction(0)
-    for f, tight in zip(facets(P, caps), P._tight):
-        if all(x > 0 for x in f.u):
-            base = [P.points[i][1:] for i in tight]
-            total += f.c * _hull_volume(base, n - 1) / (n * f.u[0])
-    return total
+    fs = zip(facets(P, caps), P._tight)
+    compact = [(f.u, f.c, tight) for f, tight in fs if all(x > 0 for x in f.u)]
+    return _pyramids((0,) * P.n, compact, P.points, P.n)
 
 
 def multiplicity(a: MonomialIdeal, caps: PolyhedronCaps = DEFAULT_CAPS) -> int:
@@ -253,39 +251,30 @@ def _faces(points, rays, d):
     return [(u, c, tight) for (u, c), tight in sorted(found.items())]
 
 
-def _triangulate(pts, d):
-    """Triangulation of conv(pts) fanned from the lex-min vertex; returns
-    index tuples of length d + 1.  Empty when the hull is lower-dimensional."""
-    if d == 0:
-        return [(0,)] if pts else []
-    if d == 1:
-        lo = min(range(len(pts)), key=lambda i: pts[i])
-        hi = max(range(len(pts)), key=lambda i: pts[i])
-        return [] if pts[lo] == pts[hi] else [(lo, hi)]
-    fs = _faces(pts, (), d)
-    if not fs:
-        return []
-    apex = min(range(len(pts)), key=lambda i: pts[i])
-    simplices = []
-    for u, _, tight in fs:
-        if apex in tight:
-            continue
-        k = next(i for i, x in enumerate(u) if x != 0)
-        sub = [pts[i][:k] + pts[i][k + 1 :] for i in tight]
-        for simp in _triangulate(sub, d - 1):
-            simplices.append((apex,) + tuple(tight[j] for j in simp))
-    return simplices
+def _pyramids(apex, faces, points, d) -> Fraction:
+    """Total d-volume of the pyramids from apex over the facets (u, c, tight)
+    of `_faces`: each is |<u, apex> - c| * vol_{d-1}(F) / d, with F the
+    facet's tight points less coordinate k, the first nonzero index of u.
+    No other factor appears because `_faces` scales u_k to +-1."""
+    total = Fraction(0)
+    for u, c, tight in faces:
+        height = abs(_value(u, apex) - c)
+        if height:
+            k = next(i for i, x in enumerate(u) if x != 0)
+            base = [points[i][:k] + points[i][k + 1 :] for i in tight]
+            total += height * _hull_volume(base, d - 1)
+    return total / d
 
 
 def _hull_volume(pts, d) -> Fraction:
-    """Exact d-volume of conv(pts)."""
+    """Exact d-volume of conv(pts): pyramids from the lex-min point over the
+    facets, recursing on the facets down to d = 1.  Zero when the hull is
+    lower-dimensional."""
     pts = [tuple(Fraction(x) for x in p) for p in pts]
     if len(pts) <= d:
         return Fraction(0)
-    total = Fraction(0)
-    fact = math.factorial(d)
-    for simp in _triangulate(pts, d):
-        base = pts[simp[0]]
-        mat = [[a - b for a, b in zip(pts[i], base)] for i in simp[1:]]
-        total += abs(det(mat))
-    return total / fact
+    if d == 0:
+        return Fraction(1)
+    if d == 1:
+        return max(pts)[0] - min(pts)[0]
+    return _pyramids(min(pts), _faces(pts, (), d), pts, d)

@@ -322,6 +322,37 @@ class TestScan:
         assert code == EXIT_INPUT
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-exp", "1"], ["--max-exp", "0"], ["--max-exp", "-3"],
+         ["--n", "0"], ["--n", "-1"]],
+    )
+    def test_empty_or_negative_grid_rejected(self, flags):
+        code, out, err = invoke("scan", "diagonal", *flags)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: scan caps")
+
+
+class TestHelpAndWarnings:
+    @pytest.mark.parametrize("argv", [["lct", "--help"], ["--help"]])
+    def test_help_goes_to_out(self, argv, capsys):
+        code, out, err = invoke(*argv)
+        assert code == EXIT_OK
+        assert out.startswith("usage: singulact")
+        assert err == ""
+        assert capsys.readouterr() == ("", "")
+
+    def test_coefficient_warning_on_every_call(self, capsys):
+        plain = invoke("lct", "--vars", "x,y", "--ideal", "x^2, y^3")
+        for _ in range(3):
+            code, out, err = invoke("lct", "--vars", "x,y", "--ideal", "2*x^2, y^3")
+            assert (code, out) == plain[:2]
+            assert err == (
+                "warning: coefficient 2 discarded from ideal generator '2*x^2'\n"
+            )
+        assert capsys.readouterr() == ("", "")
+
 
 class TestRegistry:
     def test_text(self):

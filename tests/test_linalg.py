@@ -9,7 +9,7 @@ from itertools import permutations, product
 
 import pytest
 
-from singulact.linalg import det, nullspace, rank, solve_square
+from singulact.linalg import nullspace, rank, solve_square
 from singulact.newton import _faces, _hull_volume
 
 F = Fraction
@@ -49,21 +49,6 @@ def value(u, x):
 
 
 SEEDS = range(12)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_det_matches_cofactor_expansion(seed):
-    rng = random.Random(seed)
-    for n in range(1, 6):
-        a = random_matrix(rng, n, n)
-        assert det(a) == leibniz(a)
-
-
-def test_det_of_singular_and_swapped():
-    assert det([[1, 2], [2, 4]]) == 0
-    assert det([[0, 1], [1, 0]]) == -1
-    assert det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
-    assert det([]) == 1
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -152,6 +137,75 @@ def test_hull_volume_of_general_simplex(d, seed):
         if volume:
             break
     assert _hull_volume(with_interior(rng, corners, 3), d) == volume
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hull_volume_in_four_dimensions(seed):
+    rng = random.Random(800 + seed)
+    sides = [rng.randint(1, 4) for _ in range(4)]
+    assert _hull_volume(with_interior(rng, box(sides), 1), 4) == math.prod(sides)
+    simplex = with_interior(rng, corner_simplex(sides), 4)
+    assert _hull_volume(simplex, 4) == F(math.prod(sides), 24)
+    while True:
+        corners = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(5)]
+        edges = [[a - b for a, b in zip(p, corners[0])] for p in corners[1:]]
+        volume = abs(F(leibniz(edges), 24))
+        if volume:
+            break
+    assert _hull_volume(with_interior(rng, corners, 3), 4) == volume
+
+
+def test_hull_volume_in_dimensions_zero_and_one():
+    assert _hull_volume([], 0) == 0
+    assert _hull_volume([()], 0) == 1
+    assert _hull_volume([(3,)], 1) == 0
+    assert _hull_volume([(2,), (2,), (2,)], 1) == 0
+    assert _hull_volume([(F(1, 2),), (-3,), (1,)], 1) == 4
+
+
+def unimodular(rng, d):
+    """Integer matrix of determinant +-1: the identity under random
+    elementary row operations, with a sign flip half the time."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3 * d):
+        i, j = rng.sample(range(d), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        m[0] = [-x for x in m[0]]
+    return m
+
+
+def image(m, shift, pts):
+    return [tuple(value(row, p) + t for row, t in zip(m, shift)) for p in pts]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hull_volume_of_flat_point_sets(d):
+    """Point sets spanning a hyperplane or a line, moved off the coordinate
+    axes by a unimodular map and a translation, have volume 0."""
+    rng = random.Random(900 + d)
+    sides = [rng.randint(1, 4) for _ in range(d - 1)]
+    flat = [p + (0,) for p in with_interior(rng, box(sides), 2)]
+    direction = [rng.randint(-3, 3) for _ in range(d)]
+    line = [tuple(t * x for x in direction) for t in (-2, F(1, 3), 1, 4)]
+    for pts in (flat, line):
+        m = unimodular(rng, d)
+        shift = [rng.randint(-5, 5) for _ in range(d)]
+        assert _hull_volume(image(m, shift, pts), d) == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_hull_volume_invariant_under_unimodular_maps(d, seed):
+    rng = random.Random(1000 + 10 * d + seed)
+    pts = list({tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 4)})
+    m = unimodular(rng, d)
+    assert abs(leibniz(m)) == 1
+    shift = [rng.randint(-5, 5) for _ in range(d)]
+    volume = _hull_volume(pts, d)
+    assert volume > 0
+    assert _hull_volume(image(m, shift, pts), d) == volume
 
 
 def check_faces(points, rays, d):

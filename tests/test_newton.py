@@ -400,3 +400,25 @@ class TestMultiplicityByLatticeCount:
             gens = [tuple(d if j == i else 0 for j in range(4)) for i in range(4)]
             a = ideal(4, gens)
             assert multiplicity(a) == d**4
+
+
+class TestFiveVariables:
+    """n = 5 reaches volumes of 4-dimensional facet bases; the default caps
+    stop at n = 4."""
+
+    CAPS = PolyhedronCaps(max_dim=5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pure_powers(self, seed):
+        rng = random.Random(1900 + seed)
+        exps = [rng.randint(1, 6) for _ in range(5)]
+        gens = [tuple(e if j == i else 0 for j in range(5)) for i, e in enumerate(exps)]
+        assert multiplicity(ideal(5, gens), self.CAPS) == math.prod(exps)
+
+    def test_mixed_against_lattice_count(self):
+        a = ideal(
+            5,
+            [(2, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 3, 0),
+             (0, 0, 0, 0, 2), (0, 0, 0, 1, 1)],
+        )
+        assert _lattice_multiplicity(a) == multiplicity(a, self.CAPS) == 10
