@@ -4,7 +4,9 @@ Exit codes: 0 success / all checks hold, 1 input error, 2 unsupported input
 class, 3 check violated or indeterminate, 4 internal invariant violation.
 Results and help go to stdout, diagnostics and warnings to stderr.  The
 argument parser is built on the first call of `run` and reused by every later
-call in the process.
+call in the process.  `CHECKS` (one entry per inequality of `check`) and
+`FAMILIES` (one per family of `scan`) give the parser's choices, the dispatch,
+the printed relation and the flags each entry reads; any other flag is refused.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import random
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -27,7 +30,7 @@ from .errors import (
     SingulactError,
     UnsupportedClassError,
 )
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, ideal_product
 from .invariants import (
     _milnor_bound,
     CheckOutcome,
@@ -55,7 +58,6 @@ from .parsing import (
     ideal_to_string,
     parse_monomial_ideal,
     parse_polynomial,
-    poly_to_string,
 )
 from .poly import Poly
 
@@ -65,28 +67,7 @@ EXIT_UNSUPPORTED = 2
 EXIT_CHECK_FAILED = 3
 EXIT_INTERNAL = 4
 
-CHECK_NAMES = (
-    "question1",
-    "thm-alpha-lct",
-    "restriction",
-    "madic",
-    "milnor-bound",
-    "dfem",
-    "minkowski",
-)
-
 MAX_SCAN_CELLS = 100_000
-
-
-@dataclass
-class JobSpec:
-    """Parsed invocation: command, output mode, caps, and the argparse
-    namespace with the payload and the per-command flags."""
-
-    command: str
-    json_output: bool
-    caps: PolyhedronCaps
-    args: argparse.Namespace
 
 
 class _UsageError(Exception):
@@ -118,20 +99,21 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, poly=False, ideal=False):
+    def common(p, poly=False, ideal=False, caps=False):
         p.add_argument("--vars", help="comma-separated variable names")
         if poly:
             p.add_argument("--poly", help="polynomial expression")
         if ideal:
             p.add_argument("--ideal", help="comma-separated monomial generators")
         p.add_argument("--json", action="store_true", dest="json_output")
-        p.add_argument(
-            "--max-points", type=int, default=None,
-            help="override the generator-count cap for facet enumeration",
-        )
+        if caps:
+            p.add_argument(
+                "--max-points", type=int, default=None,
+                help="override the generator-count cap for facet enumeration",
+            )
 
     p = sub.add_parser("lct", help="log canonical threshold of a monomial ideal")
-    common(p, ideal=True)
+    common(p, ideal=True, caps=True)
     p.add_argument(
         "--certificate", action="store_true",
         help="compute by the facet dual and print the optimal facet",
@@ -152,28 +134,24 @@ def _build_parser():
     p = sub.add_parser("milnor", help="Milnor number at the origin")
     common(p, poly=True)
     p = sub.add_parser("mult", help="Hilbert-Samuel multiplicity of a monomial ideal")
-    common(p, ideal=True)
+    common(p, ideal=True, caps=True)
     p = sub.add_parser("newton", help="dump Newton polyhedron points/facets/vertices")
-    common(p, ideal=True)
+    common(p, ideal=True, caps=True)
 
     p = sub.add_parser("check", help="verify one inequality")
-    p.add_argument("name", choices=CHECK_NAMES)
-    common(p, poly=True, ideal=True)
+    p.add_argument("name", choices=CHECKS)
+    common(p, poly=True, ideal=True, caps=True)
     p.add_argument("--poly2", help="second polynomial (madic)")
     p.add_argument("--ideal2", help="second ideal (minkowski)")
     p.add_argument("--axis", help="variable to restrict along (restriction)")
 
     p = sub.add_parser("scan", help="run a check across a family")
-    p.add_argument("kind", choices=("diagonal", "monomial-pairs"))
-    p.add_argument("--n", type=int, default=2, dest="dim")
-    p.add_argument("--max-exp", type=int, default=4)
+    p.add_argument("kind", choices=FAMILIES)
+    p.add_argument("--n", type=int, metavar="DIM")
+    p.add_argument("--max-exp", type=int)
     p.add_argument("--check", default="question1")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--max-cells", type=int, default=MAX_SCAN_CELLS,
-        help="override the scan grid cap (use with care)",
-    )
+    p.add_argument("--count", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true", dest="json_output")
 
     p = sub.add_parser("registry", help="documented known values (never computed)")
@@ -222,6 +200,24 @@ def _need_ideal(args, vars, attr="ideal") -> MonomialIdeal:
     return parse_monomial_ideal(text, vars)
 
 
+def _need_axis(args, vars, attr="axis") -> int:
+    name = getattr(args, attr, None)
+    if not name:
+        raise InputError("--axis is required for the restriction check")
+    if name not in vars.names:
+        raise InputError(f"unknown variable {name!r} in --axis")
+    return vars.index(name)
+
+
+def _refuse_unread(args, command: str, reads, flags):
+    """Refuse each of `flags` (argparse dests) that was given but is not in
+    `reads`."""
+    given = [f for f in flags if f not in reads and getattr(args, f) is not None]
+    unread = ["--" + f.replace("_", "-") for f in given]
+    if unread:
+        raise InputError(f"{command} does not read {', '.join(unread)}")
+
+
 # -- serialization ------------------------------------------------------------
 
 
@@ -255,11 +251,16 @@ def outcome_to_dict(c: CheckOutcome) -> dict:
 
 
 def emit_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
+    """Sorted keys; a rational that is not yet a string renders as one."""
+    return json.dumps(payload, sort_keys=True, default=format_rat)
 
 
-def _print_report(r: InvariantReport, job: JobSpec, out):
-    if job.json_output:
+def _verdict(holds) -> str:
+    return {True: "holds", False: "violated"}.get(holds, "indeterminate")
+
+
+def _print_report(r: InvariantReport, json_output: bool, out):
+    if json_output:
         print(emit_json(report_to_dict(r)), file=out)
         return
     print(f"{r.kind} = {format_rat(r.value)}", file=out)
@@ -270,11 +271,11 @@ def _print_report(r: InvariantReport, job: JobSpec, out):
         print(f"assumes: {', '.join(r.assumes)}", file=out)
 
 
-def _print_outcome(c: CheckOutcome, job: JobSpec, out) -> int:
-    if job.json_output:
+def _print_outcome(c: CheckOutcome, relation: str, json_output: bool, out) -> int:
+    if json_output:
         print(emit_json(outcome_to_dict(c)), file=out)
     elif c.holds is True:
-        rel = "=" if c.equality else "<=" if c.name != "restriction" else ">="
+        rel = "=" if c.equality else relation
         print(f"holds: {format_rat(c.lhs)} {rel} {format_rat(c.rhs)}", file=out)
     elif c.holds is False:
         print(f"violated: lhs={format_rat(c.lhs)} rhs={format_rat(c.rhs)}", file=out)
@@ -286,62 +287,68 @@ def _print_outcome(c: CheckOutcome, job: JobSpec, out) -> int:
     return EXIT_OK if c.holds is True else EXIT_CHECK_FAILED
 
 
+def _text(fields: dict) -> dict:
+    """Fields for a text format: lists as comma-separated values."""
+    return {k: ",".join(map(str, v)) if isinstance(v, list) else v
+            for k, v in fields.items()}
+
+
 # -- command handlers ----------------------------------------------------------
 
 
-def _cmd_lct(job, out):
-    vars = _need_vars(job.args)
-    a = _need_ideal(job.args, vars)
-    r = lct_monomial_dual(a, job.caps) if job.args.certificate else lct_monomial(a)
-    _print_report(r, job, out)
+def _cmd_lct(args, caps, out):
+    vars = _need_vars(args)
+    a = _need_ideal(args, vars)
+    r = lct_monomial_dual(a, caps) if args.certificate else lct_monomial(a)
+    _print_report(r, args.json_output, out)
     return EXIT_OK
 
 
-def _cmd_beta(job, out):
-    if getattr(job.args, "ordinary", None):
+def _cmd_beta(args, caps, out):
+    if args.ordinary:
         try:
-            n, d = (int(x) for x in job.args.ordinary.split(","))
+            n, d = (int(x) for x in args.ordinary.split(","))
         except ValueError as exc:
             raise InputError("--ordinary expects N,D") from exc
-        _print_report(beta_ordinary(n, d), job, out)
+        _print_report(beta_ordinary(n, d), args.json_output, out)
         return EXIT_OK
-    vars = _need_vars(job.args)
-    f = _need_poly(job.args, vars)
-    _print_report(beta(f, include_f=job.args.include_f), job, out)
+    vars = _need_vars(args)
+    f = _need_poly(args, vars)
+    _print_report(beta(f, include_f=args.include_f), args.json_output, out)
     return EXIT_OK
 
 
-def _cmd_alpha(job, out):
-    vars = _need_vars(job.args)
-    f = _need_poly(job.args, vars)
-    _print_report(alpha(f), job, out)
+def _cmd_alpha(args, caps, out):
+    vars = _need_vars(args)
+    f = _need_poly(args, vars)
+    _print_report(alpha(f), args.json_output, out)
     return EXIT_OK
 
 
-def _cmd_milnor(job, out):
-    vars = _need_vars(job.args)
-    f = _need_poly(job.args, vars)
-    _print_report(milnor(f), job, out)
+def _cmd_milnor(args, caps, out):
+    vars = _need_vars(args)
+    f = _need_poly(args, vars)
+    _print_report(milnor(f), args.json_output, out)
     return EXIT_OK
 
 
-def _cmd_mult(job, out):
-    vars = _need_vars(job.args)
-    a = _need_ideal(job.args, vars)
-    e = newton.multiplicity(a, job.caps)
+def _cmd_mult(args, caps, out):
+    vars = _need_vars(args)
+    a = _need_ideal(args, vars)
+    e = newton.multiplicity(a, caps)
     r = InvariantReport(
         "multiplicity", Fraction(e), "covolume", a.n, ideal_to_string(a, vars)
     )
-    _print_report(r, job, out)
+    _print_report(r, args.json_output, out)
     return EXIT_OK
 
 
-def _cmd_newton(job, out):
-    vars = _need_vars(job.args)
-    a = _need_ideal(job.args, vars)
+def _cmd_newton(args, caps, out):
+    vars = _need_vars(args)
+    a = _need_ideal(args, vars)
     P = newton.build(a)
-    facets = newton.facets(P, job.caps)
-    vertices = newton.vertices(P, job.caps)
+    facets = newton.facets(P, caps)
+    vertices = newton.vertices(P, caps)
     payload = {
         "points": [[format_rat(x) for x in p] for p in P.points],
         "facets": [
@@ -350,7 +357,7 @@ def _cmd_newton(job, out):
         ],
         "vertices": [[format_rat(x) for x in v] for v in vertices],
     }
-    if job.json_output:
+    if args.json_output:
         print(emit_json(payload), file=out)
     else:
         print("points:", "; ".join(",".join(p) for p in payload["points"]), file=out)
@@ -364,58 +371,74 @@ def _cmd_newton(job, out):
     return EXIT_OK
 
 
-def _cmd_check(job, out):
-    args = job.args
+# -- the table of checks ------------------------------------------------------
+
+# How each input of a check is read, after --vars; `max_points` is the caps.
+_READERS = {
+    "poly": _need_poly,
+    "ideal": _need_ideal,
+    "poly2": _need_poly,
+    "ideal2": _need_ideal,
+    "axis": _need_axis,
+}
+_CHECK_FLAGS = (*_READERS, "max_points")
+
+
+@dataclass(frozen=True)
+class Check:
+    """One inequality of `check`: the flags it reads, in the order they are
+    read and passed to `fn`, and how lhs compares with rhs when it holds."""
+
+    inputs: tuple
+    fn: Callable[..., CheckOutcome]
+    relation: str
+
+
+CHECKS = {
+    "question1": Check(("poly",), check_question1, "<="),
+    "thm-alpha-lct": Check(("poly", "ideal"), check_thm_alpha_le_lct, "<="),
+    "restriction": Check(
+        ("axis", "poly"), lambda axis, f: check_restriction(f, axis), ">="
+    ),
+    "madic": Check(("poly", "poly2"), check_madic, "<="),
+    "milnor-bound": Check(("poly",), check_milnor_bound, "<="),
+    "dfem": Check(("ideal", "max_points"), check_dfem, ">="),
+    "minkowski": Check(("ideal", "ideal2", "max_points"), check_minkowski, "<="),
+}
+
+
+def _cmd_check(args, caps, out):
+    check = CHECKS[args.name]
+    _refuse_unread(args, f"check {args.name}", check.inputs, _CHECK_FLAGS)
     vars = _need_vars(args)
-    name = args.name
-    if name == "question1":
-        c = check_question1(_need_poly(args, vars))
-    elif name == "thm-alpha-lct":
-        c = check_thm_alpha_le_lct(
-            _need_poly(args, vars), _need_ideal(args, vars)
-        )
-    elif name == "restriction":
-        if not args.axis:
-            raise InputError("--axis is required for the restriction check")
-        if args.axis not in vars.names:
-            raise InputError(f"unknown variable {args.axis!r} in --axis")
-        c = check_restriction(_need_poly(args, vars), vars.index(args.axis))
-    elif name == "madic":
-        c = check_madic(
-            _need_poly(args, vars), _need_poly(args, vars, attr="poly2")
-        )
-    elif name == "milnor-bound":
-        c = check_milnor_bound(_need_poly(args, vars))
-    elif name == "dfem":
-        c = check_dfem(_need_ideal(args, vars), job.caps)
-    elif name == "minkowski":
-        c = check_minkowski(
-            _need_ideal(args, vars),
-            _need_ideal(args, vars, attr="ideal2"),
-            job.caps,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown check {name!r}")
-    return _print_outcome(c, job, out)
+    values = [
+        caps if flag == "max_points" else _READERS[flag](args, vars, flag)
+        for flag in check.inputs
+    ]
+    return _print_outcome(check.fn(*values), check.relation, args.json_output, out)
 
 
-def _scan_diagonal(args, out, json_output):
-    n = args.dim
-    max_exp = args.max_exp
-    if not (1 <= n <= 4 and 2 <= max_exp <= 9):
+# -- the table of scan families -----------------------------------------------
+
+
+def _diagonal_question1(f):
+    c = check_question1(f)
+    return c.lhs, c.rhs, c
+
+
+def _diagonal_milnor_bound(f):
+    a = alpha(f).value
+    b = beta(f).value
+    return a, b, _milnor_bound(f, b)
+
+
+def _diagonal_cases(args, pick):
+    """x_1^a_1 + ... + x_n^a_n for every exponent vector in [2, max_exp]^n."""
+    n = args.n
+    if not (1 <= n <= 4 and 2 <= args.max_exp <= 9):
         raise InputError("scan caps: 1 <= n <= 4 and 2 <= max exponent <= 9")
-    cells = (max_exp - 1) ** n
-    if cells > args.max_cells:
-        raise InputError(
-            f"scan grid has {cells} cells, above the {args.max_cells} cap"
-        )
-    if args.check not in ("question1", "milnor-bound"):
-        raise InputError("diagonal scan supports question1 and milnor-bound")
-    rows = []
-    violations = 0
-    min_gap = None
-    min_at = None
-    for exps in product(range(2, max_exp + 1), repeat=n):
+    check = pick()
+    for exps in product(range(2, args.max_exp + 1), repeat=n):
         f = Poly(
             n,
             {
@@ -423,53 +446,14 @@ def _scan_diagonal(args, out, json_output):
                 for i, e in enumerate(exps)
             },
         )
-        if args.check == "question1":
-            c = check_question1(f)
-            a, b = c.lhs, c.rhs
-        else:
-            a = alpha(f).value
-            b = beta(f).value
-            c = _milnor_bound(f, b)
-        verdict = "holds" if c.holds is True else (
-            "violated" if c.holds is False else "indeterminate"
-        )
-        if c.holds is not True:
-            violations += 1
-        gap = b - a
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-            min_at = exps
-        rows.append(
-            {
-                "a": list(exps),
-                "alpha": format_rat(a),
-                "beta": format_rat(b),
-                "verdict": verdict,
-                "equality": c.equality,
-            }
-        )
-    summary = {
-        "cases": len(rows),
-        "violations": violations,
-        "min_gap": format_rat(min_gap),
-        "min_gap_at": list(min_at),
-    }
-    if json_output:
-        print(emit_json({"scan": "diagonal", "rows": rows, "summary": summary}), file=out)
-    else:
-        for row in rows:
-            print(
-                f"a=({','.join(map(str, row['a']))}) alpha={row['alpha']} "
-                f"beta={row['beta']} verdict={row['verdict']}",
-                file=out,
-            )
-        print(
-            f"summary: {summary['cases']} cases, {violations} violations, "
-            f"min gap {summary['min_gap']} at "
-            f"a=({','.join(map(str, min_at))})",
-            file=out,
-        )
-    return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
+        a, b, c = check(f)
+        yield {"a": list(exps), "alpha": a, "beta": b}, c
+
+
+def _min_gap(rows) -> dict:
+    """Where beta - alpha is least, first in grid order."""
+    at = min(rows, key=lambda r: r["beta"] - r["alpha"])
+    return {"min_gap": at["beta"] - at["alpha"], "min_gap_at": at["a"]}
 
 
 def random_zero_dim_ideal(rng: random.Random, n: int) -> MonomialIdeal:
@@ -487,64 +471,92 @@ def random_zero_dim_ideal(rng: random.Random, n: int) -> MonomialIdeal:
     return ideal
 
 
-def _scan_monomial_pairs(args, out, json_output):
-    n = args.dim
-    if n > 3:
+def _pair_cases(args, pick):
+    """`count` seeded pairs of zero-dimensional monomial ideals."""
+    if args.n > 3:
         raise InputError("monomial-pairs scan supports n <= 3")
-    if args.check not in ("minkowski", "dfem"):
-        raise InputError("monomial-pairs scan supports minkowski and dfem")
-    if args.count > args.max_cells:
+    check = pick()
+    if args.count > MAX_SCAN_CELLS:
         raise InputError("count exceeds the scan cap")
+    if args.count < 1:
+        raise InputError("monomial-pairs scan needs --count >= 1")
     rng = random.Random(args.seed)
-    rows = []
-    violations = 0
-    from .ideals import ideal_product
+    for index in range(args.count):
+        a = random_zero_dim_ideal(rng, args.n)
+        b = random_zero_dim_ideal(rng, args.n)
+        fields = {"index": index, "a": ideal_to_string(a), "b": ideal_to_string(b)}
+        yield fields, check(a, b)
 
-    for idx in range(args.count):
-        a = random_zero_dim_ideal(rng, n)
-        b = random_zero_dim_ideal(rng, n)
-        if args.check == "minkowski":
-            c = check_minkowski(a, b)
-        else:
-            c = check_dfem(ideal_product(a, b))
-        verdict = "holds" if c.holds is True else (
-            "violated" if c.holds is False else "indeterminate"
-        )
-        if c.holds is not True:
-            violations += 1
-        rows.append(
-            {
-                "index": idx,
-                "a": ideal_to_string(a),
-                "b": ideal_to_string(b),
-                "verdict": verdict,
-                "equality": c.equality,
-            }
-        )
-    summary = {"cases": len(rows), "violations": violations}
-    if json_output:
-        print(
-            emit_json({"scan": "monomial-pairs", "rows": rows, "summary": summary}),
-            file=out,
-        )
+
+@dataclass(frozen=True)
+class Family:
+    """One family of `scan`.  `cases(args, pick)` checks the ranges of the
+    `flags` it reads, calls `pick()` for the `checks` entry of `--check`, and
+    yields (row fields, outcome) per case; `extra(rows)` adds summary fields."""
+
+    flags: dict
+    checks: dict
+    cases: Callable
+    row: str
+    summary: str = ""
+    extra: Callable = lambda rows: {}
+
+
+FAMILIES = {
+    "diagonal": Family(
+        flags={"n": 2, "max_exp": 4},
+        checks={
+            "question1": _diagonal_question1,
+            "milnor-bound": _diagonal_milnor_bound,
+        },
+        cases=_diagonal_cases,
+        row="a=({a}) alpha={alpha} beta={beta} verdict={verdict}",
+        summary=", min gap {min_gap} at a=({min_gap_at})",
+        extra=_min_gap,
+    ),
+    "monomial-pairs": Family(
+        flags={"n": 2, "count": 50, "seed": 0},
+        checks={
+            "minkowski": check_minkowski,
+            "dfem": lambda a, b: check_dfem(ideal_product(a, b)),
+        },
+        cases=_pair_cases,
+        row="[{index}] a=({a}) b=({b}) verdict={verdict}",
+    ),
+}
+_SCAN_FLAGS = tuple(dict.fromkeys(f for fam in FAMILIES.values() for f in fam.flags))
+
+
+def _cmd_scan(args, caps, out):
+    """The one summariser: every family's rows, verdicts and summary."""
+    family = FAMILIES[args.kind]
+    _refuse_unread(args, f"scan {args.kind}", family.flags, _SCAN_FLAGS)
+    for flag, default in family.flags.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+
+    def pick():
+        if args.check not in family.checks:
+            raise InputError(f"{args.kind} scan supports {' and '.join(family.checks)}")
+        return family.checks[args.check]
+
+    rows = [
+        {**fields, "verdict": _verdict(c.holds), "equality": c.equality}
+        for fields, c in family.cases(args, pick)
+    ]
+    violations = sum(row["verdict"] != "holds" for row in rows)
+    summary = {"cases": len(rows), "violations": violations, **family.extra(rows)}
+    if args.json_output:
+        print(emit_json({"scan": args.kind, "rows": rows, "summary": summary}), file=out)
     else:
         for row in rows:
-            print(
-                f"[{row['index']}] a=({row['a']}) b=({row['b']}) "
-                f"verdict={row['verdict']}",
-                file=out,
-            )
-        print(f"summary: {summary['cases']} cases, {violations} violations", file=out)
+            print(family.row.format_map(_text(row)), file=out)
+        text = "summary: {cases} cases, {violations} violations" + family.summary
+        print(text.format_map(_text(summary)), file=out)
     return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
 
 
-def _cmd_scan(job, out):
-    if job.args.kind == "diagonal":
-        return _scan_diagonal(job.args, out, job.json_output)
-    return _scan_monomial_pairs(job.args, out, job.json_output)
-
-
-def _cmd_registry(job, out):
+def _cmd_registry(args, caps, out):
     entries = [
         {
             "input": kv.description,
@@ -555,7 +567,7 @@ def _cmd_registry(job, out):
         for kv in known_values()
     ]
     cross = registry_question1()
-    if job.json_output:
+    if args.json_output:
         print(
             emit_json({"entries": entries, "question1": outcome_to_dict(cross)}),
             file=out,
@@ -563,10 +575,9 @@ def _cmd_registry(job, out):
     else:
         for e in entries:
             print(f"{e['input']}: {e['invariant']} = {e['value']} (registry)", file=out)
-        verdict = "holds" if cross.holds is True else "violated"
         print(
-            f"registry question1: {verdict} "
-            f"({format_rat(cross.lhs)} <= {format_rat(cross.rhs)})",
+            f"registry question1: {_verdict(cross.holds)} ({format_rat(cross.lhs)} "
+            f"{CHECKS['question1'].relation} {format_rat(cross.rhs)})",
             file=out,
         )
     return EXIT_OK if cross.holds is True else EXIT_CHECK_FAILED
@@ -609,13 +620,7 @@ def _answer(argv, out):
     except _UsageError as exc:
         return EXIT_INPUT, str(exc)
     try:
-        job = JobSpec(
-            command=args.command,
-            json_output=getattr(args, "json_output", False),
-            caps=_caps_from_env(args),
-            args=args,
-        )
-        return _HANDLERS[args.command](job, out), ""
+        return _HANDLERS[args.command](args, _caps_from_env(args), out), ""
     except UnsupportedClassError as exc:
         return EXIT_UNSUPPORTED, f"unsupported input class: {exc}\n"
     except InternalInvariantError as exc:

@@ -486,17 +486,6 @@ def check_minkowski(
     lo_a, hi_a = _nth_root_bracket(e_a, n)
     lo_b, hi_b = _nth_root_bracket(e_b, n)
     witness = f"a={_echo_ideal(a)}; b={_echo_ideal(b)}; e={e_ab},{e_a},{e_b}"
-    exact = lo_ab == hi_ab and lo_a == hi_a and lo_b == hi_b
-    if exact:
-        holds = lo_ab <= lo_a + lo_b
-        return CheckOutcome(
-            "minkowski",
-            holds,
-            lo_ab,
-            lo_a + lo_b,
-            witness,
-            equality=lo_ab == lo_a + lo_b,
-        )
     if hi_ab <= lo_a + lo_b:
         return CheckOutcome("minkowski", True, hi_ab, lo_a + lo_b, witness)
     if lo_ab > hi_a + hi_b:

@@ -7,10 +7,13 @@ from pathlib import Path
 import pytest
 
 from singulact.cli import (
+    CHECKS,
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNSUPPORTED,
+    FAMILIES,
+    MAX_SCAN_CELLS,
     run,
 )
 
@@ -192,6 +195,88 @@ class TestChecks:
         assert "unit ideal rejected" in err
 
 
+# One holding, non-equality example per check, with its text-mode line.
+HOLDS = {
+    "question1": (
+        ["--vars", "x,y", "--poly", "x^3 + y^5"], "holds: 8/15 <= 3/5"),
+    "thm-alpha-lct": (
+        ["--vars", "x,y", "--poly", "x^2 + y^3", "--ideal", "x, y^2"],
+        "holds: 5/6 <= 3/2"),
+    "restriction": (
+        ["--vars", "x,y", "--poly", "x^2 + y^3", "--axis", "y"], "holds: 1 >= 1/2"),
+    "madic": (
+        ["--vars", "x,y", "--poly", "x^2 + y^3", "--poly2", "x^2 + y^5"],
+        "holds: 0 <= 2/3"),
+    "milnor-bound": (["--vars", "x,y", "--poly", "x^2 + y^3"], "holds: 1 <= 2"),
+    "dfem": (["--vars", "x,y", "--ideal", "x^2, x*y^2, y^5"], "holds: 9 >= 64/9"),
+    "minkowski": (
+        ["--vars", "x,y", "--ideal", "x, y", "--ideal2", "x, y^4"], "holds: 7 <= 9"),
+}
+
+# Every input flag of `check`, with a value that parses.
+CHECK_FLAGS = {
+    "poly": "x^2 + y^3",
+    "ideal": "x, y",
+    "poly2": "x^2",
+    "ideal2": "y",
+    "axis": "x",
+    "max_points": "2",
+}
+
+
+def _option(dest):
+    return "--" + dest.replace("_", "-")
+
+
+class TestCheckTable:
+    def test_every_check_has_an_example(self):
+        assert set(HOLDS) == set(CHECKS)
+
+    @pytest.mark.parametrize("name", list(HOLDS))
+    def test_holds_line_prints_relation(self, name):
+        argv, line = HOLDS[name]
+        code, out, err = invoke("check", name, *argv)
+        assert (code, out, err) == (EXIT_OK, line + "\n", "")
+
+    @pytest.mark.parametrize(
+        "name,dest",
+        [
+            (name, dest)
+            for name, check in CHECKS.items()
+            for dest in CHECK_FLAGS
+            if dest not in check.inputs
+        ],
+    )
+    def test_unread_flag_refused(self, name, dest):
+        argv, _ = HOLDS[name]
+        code, out, err = invoke(
+            "check", name, *argv, _option(dest), CHECK_FLAGS[dest]
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"input error: check {name} does not read {_option(dest)}\n"
+
+    @pytest.mark.parametrize(
+        "name", [name for name, c in CHECKS.items() if "max_points" in c.inputs]
+    )
+    def test_max_points_read(self, name):
+        argv, _ = HOLDS[name]
+        code, out, err = invoke("check", name, *argv, "--max-points", "1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "exceed cap 1" in err
+
+    def test_every_unread_flag_named(self):
+        code, out, err = invoke(
+            "check", "question1", "--vars", "x,y", "--poly", "x^2 + y^3",
+            "--ideal2", "y", "--axis", "x", "--max-points", "2",
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (
+            "input error: check question1 does not read "
+            "--ideal2, --axis, --max-points\n"
+        )
+
+
 class TestExitCodes:
     def test_input_error_on_bad_parse(self):
         code, out, err = invoke("lct", "--vars", "x,y", "--ideal", "x^2 + y")
@@ -226,6 +311,10 @@ class TestExitCodes:
             ["alpha", "--vars", "x,y", "--poly", "x^2 + y^3", "--include-f"],
             ["check", "question1", "--vars", "x,y", "--poly", "x^2 + y^3",
              "--certificate"],
+            ["alpha", "--vars", "x,y", "--poly", "x^2 + y^3", "--max-points", "3"],
+            ["beta", "--vars", "x,y", "--poly", "x^2 + y^3", "--max-points", "3"],
+            ["milnor", "--vars", "x,y", "--poly", "x^2 + y^3", "--max-points", "3"],
+            ["scan", "diagonal", "--max-cells", "100"],
         ],
     )
     def test_flag_of_another_subcommand_rejected(self, argv, capsys):
@@ -315,12 +404,38 @@ class TestScan:
         assert code == EXIT_OK
         assert out.splitlines()[-1] == "summary: 10 cases, 0 violations"
 
-    def test_cell_cap(self):
-        code, _, err = invoke(
-            "scan", "diagonal", "--n", "4", "--max-exp", "9", "--max-cells", "100"
+    def test_count_cap(self):
+        code, out, err = invoke(
+            "scan", "monomial-pairs", "--check", "dfem",
+            "--count", str(MAX_SCAN_CELLS + 1),
         )
-        assert code == EXIT_INPUT
-        assert "cap" in err
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: count exceeds the scan cap\n"
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_empty_count_rejected(self, count):
+        code, out, err = invoke(
+            "scan", "monomial-pairs", "--check", "dfem", "--count", count
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: monomial-pairs scan needs --count >= 1\n"
+
+    @pytest.mark.parametrize(
+        "kind,dest",
+        [
+            (kind, dest)
+            for kind, family in FAMILIES.items()
+            for dest in ("n", "max_exp", "count", "seed")
+            if dest not in family.flags
+        ],
+    )
+    def test_unread_flag_refused(self, kind, dest):
+        check = next(iter(FAMILIES[kind].checks))
+        code, out, err = invoke(
+            "scan", kind, "--check", check, "--n", "2", _option(dest), "3"
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"input error: scan {kind} does not read {_option(dest)}\n"
 
     @pytest.mark.parametrize(
         "flags",
