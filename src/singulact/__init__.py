@@ -3,7 +3,7 @@
 Library layout:
 
 - ``poly`` / ``ideals``: sparse rational polynomials and monomial ideals.
-- ``parsing``: the text grammar for CLI and job-file inputs.
+- ``parsing``: the text grammar of polynomial and ideal inputs.
 - ``simplex``: exact rational two-phase simplex.
 - ``newton``: Newton polyhedra: membership, facets, covolume, multiplicity.
 - ``invariants``: thresholds, minimal exponents, Milnor numbers, and the

@@ -5,8 +5,9 @@ class, 3 check violated or indeterminate, 4 internal invariant violation.
 Results and help go to stdout, diagnostics and warnings to stderr.  The
 argument parser is built on the first call of `run` and reused by every later
 call in the process.  `CHECKS` (one entry per inequality of `check`) and
-`FAMILIES` (one per family of `scan`) give the parser's choices, the dispatch,
-the printed relation and the flags each entry reads; any other flag is refused.
+`FAMILIES` (one per family of `scan`) give the parser's choices, the dispatch
+and the flags each entry reads; any other flag is refused.  A verdict prints
+the relation its `CheckOutcome` was decided under.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _build_parser():
     p = sub.add_parser("beta", help="threshold of (maximal ideal)*(Jacobian ideal)")
     common(p, poly=True)
     p.add_argument(
-        "--include-f", action="store_true", dest="include_f",
+        "--include-f", action="store_true", dest="include_f", default=None,
         help="add f itself to the Jacobian generators",
     )
     p.add_argument(
@@ -271,11 +272,11 @@ def _print_report(r: InvariantReport, json_output: bool, out):
         print(f"assumes: {', '.join(r.assumes)}", file=out)
 
 
-def _print_outcome(c: CheckOutcome, relation: str, json_output: bool, out) -> int:
+def _print_outcome(c: CheckOutcome, json_output: bool, out) -> int:
     if json_output:
         print(emit_json(outcome_to_dict(c)), file=out)
     elif c.holds is True:
-        rel = "=" if c.equality else relation
+        rel = "=" if c.equality else c.relation
         print(f"holds: {format_rat(c.lhs)} {rel} {format_rat(c.rhs)}", file=out)
     elif c.holds is False:
         print(f"violated: lhs={format_rat(c.lhs)} rhs={format_rat(c.rhs)}", file=out)
@@ -297,6 +298,9 @@ def _text(fields: dict) -> dict:
 
 
 def _cmd_lct(args, caps, out):
+    if not args.certificate:
+        # The LP route enumerates no facets, so a facet cap means nothing.
+        _refuse_unread(args, "lct without --certificate", (), ("max_points",))
     vars = _need_vars(args)
     a = _need_ideal(args, vars)
     r = lct_monomial_dual(a, caps) if args.certificate else lct_monomial(a)
@@ -306,6 +310,7 @@ def _cmd_lct(args, caps, out):
 
 def _cmd_beta(args, caps, out):
     if args.ordinary:
+        _refuse_unread(args, "beta --ordinary", (), ("vars", "poly", "include_f"))
         try:
             n, d = (int(x) for x in args.ordinary.split(","))
         except ValueError as exc:
@@ -314,7 +319,7 @@ def _cmd_beta(args, caps, out):
         return EXIT_OK
     vars = _need_vars(args)
     f = _need_poly(args, vars)
-    _print_report(beta(f, include_f=args.include_f), args.json_output, out)
+    _print_report(beta(f, include_f=bool(args.include_f)), args.json_output, out)
     return EXIT_OK
 
 
@@ -387,23 +392,20 @@ _CHECK_FLAGS = (*_READERS, "max_points")
 @dataclass(frozen=True)
 class Check:
     """One inequality of `check`: the flags it reads, in the order they are
-    read and passed to `fn`, and how lhs compares with rhs when it holds."""
+    read and passed to `fn`."""
 
     inputs: tuple
     fn: Callable[..., CheckOutcome]
-    relation: str
 
 
 CHECKS = {
-    "question1": Check(("poly",), check_question1, "<="),
-    "thm-alpha-lct": Check(("poly", "ideal"), check_thm_alpha_le_lct, "<="),
-    "restriction": Check(
-        ("axis", "poly"), lambda axis, f: check_restriction(f, axis), ">="
-    ),
-    "madic": Check(("poly", "poly2"), check_madic, "<="),
-    "milnor-bound": Check(("poly",), check_milnor_bound, "<="),
-    "dfem": Check(("ideal", "max_points"), check_dfem, ">="),
-    "minkowski": Check(("ideal", "ideal2", "max_points"), check_minkowski, "<="),
+    "question1": Check(("poly",), check_question1),
+    "thm-alpha-lct": Check(("poly", "ideal"), check_thm_alpha_le_lct),
+    "restriction": Check(("axis", "poly"), lambda axis, f: check_restriction(f, axis)),
+    "madic": Check(("poly", "poly2"), check_madic),
+    "milnor-bound": Check(("poly",), check_milnor_bound),
+    "dfem": Check(("ideal", "max_points"), check_dfem),
+    "minkowski": Check(("ideal", "ideal2", "max_points"), check_minkowski),
 }
 
 
@@ -415,7 +417,7 @@ def _cmd_check(args, caps, out):
         caps if flag == "max_points" else _READERS[flag](args, vars, flag)
         for flag in check.inputs
     ]
-    return _print_outcome(check.fn(*values), check.relation, args.json_output, out)
+    return _print_outcome(check.fn(*values), args.json_output, out)
 
 
 # -- the table of scan families -----------------------------------------------
@@ -577,7 +579,7 @@ def _cmd_registry(args, caps, out):
             print(f"{e['input']}: {e['invariant']} = {e['value']} (registry)", file=out)
         print(
             f"registry question1: {_verdict(cross.holds)} ({format_rat(cross.lhs)} "
-            f"{CHECKS['question1'].relation} {format_rat(cross.rhs)})",
+            f"{cross.relation} {format_rat(cross.rhs)})",
             file=out,
         )
     return EXIT_OK if cross.holds is True else EXIT_CHECK_FAILED

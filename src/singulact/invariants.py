@@ -7,8 +7,10 @@ and is decided by exact bracketing with an explicit indeterminate verdict.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from . import newton
 from .errors import InputError, InternalInvariantError, UnsupportedClassError
@@ -20,6 +22,7 @@ from .ideals import (
     poly_in_ideal,
 )
 from .newton import DEFAULT_CAPS, FacetNormal, PolyhedronCaps
+from .parsing import ideal_to_string, poly_to_string
 from .poly import (
     Poly,
     jacobian_generators,
@@ -45,24 +48,31 @@ class InvariantReport:
 
 @dataclass
 class CheckOutcome:
+    """The verdict of one inequality `lhs relation rhs`, where `relation` is
+    "<=" or ">=".  `_compare` sets `holds` to the truth of that relation and
+    `equality` to lhs == rhs; only minkowski's bracket outcomes are built by
+    hand, with bracket endpoints as lhs and rhs, `holds` possibly
+    "indeterminate" and `equality` False, since meeting endpoints prove
+    nothing."""
+
     name: str
     holds: object  # True | False | "indeterminate"
     lhs: object
     rhs: object
     witness: str
+    relation: str
     equality: bool = False
 
 
-def _echo_ideal(a: MonomialIdeal) -> str:
-    from .parsing import ideal_to_string
-
-    return ideal_to_string(a)
+_RELATIONS = {"<=": operator.le, ">=": operator.ge}
 
 
-def _echo_poly(f: Poly) -> str:
-    from .parsing import poly_to_string
-
-    return poly_to_string(f)
+def _compare(name: str, lhs, relation: str, rhs, witness: str) -> CheckOutcome:
+    """The outcome of `lhs relation rhs`, decided here and nowhere else."""
+    return CheckOutcome(
+        name, _RELATIONS[relation](lhs, rhs), lhs, rhs, witness, relation,
+        equality=lhs == rhs,
+    )
 
 
 def ord_u(a: MonomialIdeal, u) -> Fraction:
@@ -95,7 +105,7 @@ def lct_monomial(a: MonomialIdeal) -> InvariantReport:
         raise InternalInvariantError(
             f"threshold {format_rat(value)} exceeds the dimension bound {a.n}"
         )
-    return InvariantReport("lct", value, "monomial-lp", a.n, _echo_ideal(a))
+    return InvariantReport("lct", value, "monomial-lp", a.n, ideal_to_string(a))
 
 
 def lct_monomial_dual(
@@ -131,7 +141,7 @@ def lct_monomial_dual(
         best,
         "facet-dual",
         a.n,
-        _echo_ideal(a),
+        ideal_to_string(a),
         certificate=best_facet,
         certificate_ord=ord_u(a, best_facet.u),
     )
@@ -159,7 +169,7 @@ def beta(f: Poly, include_f: bool = False) -> InvariantReport:
     product = ideal_product(maximal_ideal(f.n), jac)
     report = lct_monomial(product)
     return InvariantReport(
-        "beta", report.value, "monomial-lp", f.n, _echo_poly(f)
+        "beta", report.value, "monomial-lp", f.n, poly_to_string(f)
     )
 
 
@@ -185,7 +195,7 @@ def alpha(f: Poly) -> InvariantReport:
     Newton-nondegenerate with zero-dimensional monomial support (the latter
     flagged, since nondegeneracy is assumed rather than verified)."""
     _require_germ(f)
-    echo = _echo_poly(f)
+    echo = poly_to_string(f)
     if order_at_origin(f) <= 1:
         return InvariantReport("alpha", INF, "smooth-point", f.n, echo)
 
@@ -196,12 +206,12 @@ def alpha(f: Poly) -> InvariantReport:
             jac = _monomial_jacobian(f)
         except UnsupportedClassError:
             jac = None
-        if jac is not None and not jac.is_unit and is_zero_dimensional(jac):
+        if jac is not None and is_zero_dimensional(jac):
             wh_value = weights.total()
 
     nd_value = None
     support_ideal = MonomialIdeal(f.n, f.terms.keys())
-    if order_at_origin(f) >= 2 and is_zero_dimensional(support_ideal):
+    if is_zero_dimensional(support_ideal):
         t_star = newton.diagonal_threshold(newton.build(support_ideal))
         nd_value = 1 / t_star
 
@@ -228,74 +238,25 @@ def alpha(f: Poly) -> InvariantReport:
     )
 
 
-def _diagonal_exponents(f: Poly):
-    """Exponents (a_1, ..., a_n) when f is a sum of single-variable powers
-    covering every variable; None otherwise."""
-    exps = [0] * f.n
-    for v in f.terms:
-        nz = [i for i, e in enumerate(v) if e > 0]
-        if len(nz) != 1:
-            return None
-        i = nz[0]
-        if exps[i] != 0:
-            return None
-        exps[i] = v[i]
-    if any(e == 0 for e in exps):
-        return None
-    return exps
-
-
 def milnor(f: Poly) -> InvariantReport:
     """Milnor number at the origin, for isolated singularities whose Jacobian
     ideal is (after unit reduction) monomial and zero-dimensional.  Such an
-    ideal has at most n minimal generators, so it is (x_1^b_1, ..., x_n^b_n)
-    and the Milnor number is the product of the b_i."""
+    ideal has at most n minimal generators, one pure power on each axis, so it
+    is (x_1^b_1, ..., x_n^b_n) and the Milnor number is the product of the b_i,
+    each the largest exponent of its generator.  At a smooth germ the ideal is
+    the unit ideal, whose one generator (0, ..., 0) gives 0."""
     _require_germ(f)
-    echo = _echo_poly(f)
-    diag = _diagonal_exponents(f)
-    if diag is not None:
-        value = 1
-        for a in diag:
-            value *= a - 1
-        return InvariantReport(
-            "milnor", Fraction(value), "staircase-diagonal", f.n, echo
-        )
+    echo = poly_to_string(f)
     jac = _monomial_jacobian(f)
-    if jac.is_unit:
-        return InvariantReport(
-            "milnor", Fraction(0), "staircase-pure-powers", f.n, echo
-        )
     if not is_zero_dimensional(jac):
         raise UnsupportedClassError(
             "Jacobian ideal is not zero-dimensional; singularity not certified "
             f"isolated: {echo}"
         )
-    pure = _pure_power_exponents(jac)
-    if pure is None:
-        raise InternalInvariantError(
-            f"zero-dimensional monomial Jacobian is not pure powers: {echo}"
-        )
-    value = 1
-    for b in pure:
-        value *= b
+    value = prod(max(g) for g in jac.gens)
     return InvariantReport(
         "milnor", Fraction(value), "staircase-pure-powers", f.n, echo
     )
-
-
-def _pure_power_exponents(a: MonomialIdeal):
-    """Exponents b_i when the ideal is exactly (x_1^{b_1}, ..., x_n^{b_n})."""
-    if len(a.gens) != a.n:
-        return None
-    exps = [0] * a.n
-    for g in a.gens:
-        nz = [i for i, e in enumerate(g) if e > 0]
-        if len(nz) != 1:
-            return None
-        exps[nz[0]] = g[nz[0]]
-    if any(e == 0 for e in exps):
-        return None
-    return exps
 
 
 # -- inequality checkers ------------------------------------------------------
@@ -307,15 +268,8 @@ def check_question1(f: Poly) -> CheckOutcome:
     _require_germ(f)
     if order_at_origin(f) < 2:
         raise InputError("check requires a singular point (order >= 2)")
-    a = alpha(f)
-    b = beta(f)
-    return CheckOutcome(
-        "question1",
-        a.value <= b.value,
-        a.value,
-        b.value,
-        _echo_poly(f),
-        equality=a.value == b.value,
+    return _compare(
+        "question1", alpha(f).value, "<=", beta(f).value, poly_to_string(f)
     )
 
 
@@ -332,31 +286,22 @@ def check_thm_alpha_le_lct(f: Poly, a: MonomialIdeal) -> CheckOutcome:
         raise InputError(
             "hypothesis violated: polynomial is not in (maximal ideal) * ideal"
         )
-    av = alpha(f)
-    lv = lct_monomial(a)
-    return CheckOutcome(
+    return _compare(
         "thm-alpha-lct",
-        av.value <= lv.value,
-        av.value,
-        lv.value,
-        f"f={_echo_poly(f)}; a={_echo_ideal(a)}",
-        equality=av.value == lv.value,
+        alpha(f).value,
+        "<=",
+        lct_monomial(a).value,
+        f"f={poly_to_string(f)}; a={ideal_to_string(a)}",
     )
 
 
 def check_restriction(f: Poly, i: int) -> CheckOutcome:
     """The invariant does not increase under restriction to a coordinate
     hyperplane."""
-    bf = beta(f)
-    g = restrict_to_coordinate_hyperplane(f, i)
-    bg = beta(g)
-    return CheckOutcome(
-        "restriction",
-        bf.value >= bg.value,
-        bf.value,
-        bg.value,
-        f"f={_echo_poly(f)}; axis={i}",
-        equality=bf.value == bg.value,
+    bf = beta(f).value
+    bg = beta(restrict_to_coordinate_hyperplane(f, i)).value
+    return _compare(
+        "restriction", bf, ">=", bg, f"f={poly_to_string(f)}; axis={i}"
     )
 
 
@@ -370,13 +315,12 @@ def check_madic(f: Poly, g: Poly) -> CheckOutcome:
     d = order_at_origin(diff)
     bound = Fraction(f.n, d)
     gap = abs(beta(f).value - beta(g).value)
-    return CheckOutcome(
+    return _compare(
         "madic",
-        gap <= bound,
         gap,
+        "<=",
         bound,
-        f"f={_echo_poly(f)}; g={_echo_poly(g)}; d={d}",
-        equality=gap == bound,
+        f"f={poly_to_string(f)}; g={poly_to_string(g)}; d={d}",
     )
 
 
@@ -387,21 +331,12 @@ def check_milnor_bound(f: Poly) -> CheckOutcome:
 
 
 def _milnor_bound(f: Poly, b) -> CheckOutcome:
-    """The milnor-bound check for f whose beta is already known to be b."""
+    """The milnor-bound check for f whose beta is already known to be b.
+    Since b <= n, the base n/b - 1 is never negative; it is 0 exactly at a
+    smooth germ, where mu = 0 too."""
     mu = milnor(f).value
-    n = f.n
-    g = Fraction(n, 1) / b - 1
-    if g <= 0:
-        lhs = Fraction(0)
-        holds = True
-        equal = False
-    else:
-        lhs = g**n
-        holds = lhs <= mu
-        equal = lhs == mu
-    return CheckOutcome(
-        "milnor-bound", holds, lhs, mu, _echo_poly(f), equality=equal
-    )
+    lhs = (Fraction(f.n) / b - 1) ** f.n
+    return _compare("milnor-bound", lhs, "<=", mu, poly_to_string(f))
 
 
 def check_dfem(a: MonomialIdeal, caps: PolyhedronCaps = DEFAULT_CAPS) -> CheckOutcome:
@@ -411,14 +346,7 @@ def check_dfem(a: MonomialIdeal, caps: PolyhedronCaps = DEFAULT_CAPS) -> CheckOu
     e = newton.multiplicity(a, caps)
     l = lct_monomial(a).value
     bound = (Fraction(a.n, 1) / l) ** a.n
-    return CheckOutcome(
-        "dfem",
-        Fraction(e) >= bound,
-        Fraction(e),
-        bound,
-        _echo_ideal(a),
-        equality=Fraction(e) == bound,
-    )
+    return _compare("dfem", Fraction(e), ">=", bound, ideal_to_string(a))
 
 
 def _iroot(x: int, n: int) -> int:
@@ -464,33 +392,30 @@ def check_minkowski(
     e_ab = newton.multiplicity(ideal_product(a, b), caps)
     e_a = newton.multiplicity(a, caps)
     e_b = newton.multiplicity(b, caps)
-    witness_e = f"e={e_ab},{e_a},{e_b}"
+    witness = f"a={ideal_to_string(a)}; b={ideal_to_string(b)}; e={e_ab},{e_a},{e_b}"
     ratio = Fraction(e_b, e_a)
     p, q = _iroot(ratio.numerator, n), _iroot(ratio.denominator, n)
     if p**n == ratio.numerator and q**n == ratio.denominator:
         # e(b)^(1/n) = (p/q) e(a)^(1/n), so both sides become rational
         # multiples of e(a)^(1/n) and the comparison is exact after raising
         # to the n-th power.
-        lhs_n = e_ab * q**n
-        rhs_n = (p + q) ** n * e_a
-        return CheckOutcome(
+        return _compare(
             "minkowski",
-            lhs_n <= rhs_n,
             Fraction(e_ab),
-            Fraction(rhs_n, q**n),
-            f"a={_echo_ideal(a)}; b={_echo_ideal(b)}; {witness_e}; "
-            "compared as n-th powers",
-            equality=lhs_n == rhs_n,
+            "<=",
+            Fraction((p + q) ** n * e_a, q**n),
+            f"{witness}; compared as n-th powers",
         )
     lo_ab, hi_ab = _nth_root_bracket(e_ab, n)
     lo_a, hi_a = _nth_root_bracket(e_a, n)
     lo_b, hi_b = _nth_root_bracket(e_b, n)
-    witness = f"a={_echo_ideal(a)}; b={_echo_ideal(b)}; e={e_ab},{e_a},{e_b}"
     if hi_ab <= lo_a + lo_b:
-        return CheckOutcome("minkowski", True, hi_ab, lo_a + lo_b, witness)
+        return CheckOutcome("minkowski", True, hi_ab, lo_a + lo_b, witness, "<=")
     if lo_ab > hi_a + hi_b:
-        return CheckOutcome("minkowski", False, lo_ab, hi_a + hi_b, witness)
-    return CheckOutcome("minkowski", "indeterminate", lo_ab, hi_a + hi_b, witness)
+        return CheckOutcome("minkowski", False, lo_ab, hi_a + hi_b, witness, "<=")
+    return CheckOutcome(
+        "minkowski", "indeterminate", lo_ab, hi_a + hi_b, witness, "<="
+    )
 
 
 # -- registry of documented values the engine does not compute ----------------
@@ -515,8 +440,10 @@ def known_values():
 def registry_question1() -> CheckOutcome:
     """Cross-check of the registry entries: recorded alpha <= recorded beta."""
     entries = {kv.invariant: kv.value for kv in known_values()}
-    a, b = entries["alpha"], entries["beta"]
-    return CheckOutcome(
-        "question1", a <= b, a, b, "det generic matrix (registry)",
-        equality=a == b,
+    return _compare(
+        "question1",
+        entries["alpha"],
+        "<=",
+        entries["beta"],
+        "det generic matrix (registry)",
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import simplex
 from .errors import InputError
 from .rational import INF
 
@@ -216,8 +217,6 @@ def quasi_homogeneous_weights(f: Poly):
     When the linear system is underdetermined, returns the solution maximizing
     min_i w_i over the solution polytope (a vertex, found by LP).
     """
-    from . import simplex
-
     if f.is_zero:
         raise InputError("zero polynomial has no weights")
     if f.constant_term() != 0:

@@ -175,6 +175,16 @@ class TestChecks:
         assert code == EXIT_OK
         assert out.startswith("holds: 8 = 8")
 
+    def test_milnor_bound_smooth_germ_is_equality(self):
+        argv = ("check", "milnor-bound", "--vars", "x,y", "--poly", "x + y^2")
+        assert invoke(*argv) == (EXIT_OK, "holds: 0 = 0\n", "")
+        code, out, _ = invoke(*argv, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "check": "milnor-bound", "equality": True, "holds": True,
+            "lhs": "0", "rhs": "0", "witness": "y^2 + x",
+        }
+
     def test_minkowski(self):
         code, _, _ = invoke(
             "check", "minkowski", "--vars", "x,y",
@@ -324,6 +334,31 @@ class TestExitCodes:
         assert err.startswith("usage: singulact")
         assert "unrecognized arguments" in err
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--vars", "x,y"],
+            ["--poly", "x^2 + y^3"],
+            ["--include-f"],
+            ["--vars", "x,y", "--poly", "x^2 + y^3", "--include-f"],
+        ],
+    )
+    def test_beta_ordinary_refuses_unread_flags(self, extra):
+        code, out, err = invoke("beta", "--ordinary", "3,2", *extra)
+        named = ", ".join(a for a in extra if a.startswith("--"))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"input error: beta --ordinary does not read {named}\n"
+
+    def test_lct_lp_route_refuses_max_points(self):
+        ideal = ("--vars", "x,y,z", "--ideal", "x^2, y^3, z^4, x*y*z")
+        code, out, err = invoke("lct", *ideal, "--max-points", "1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (
+            "input error: lct without --certificate does not read --max-points\n"
+        )
+        code, out, _ = invoke("lct", *ideal, "--max-points", "4", "--certificate")
+        assert (code, out.splitlines()[0]) == (EXIT_OK, "lct = 13/12")
 
     def test_include_f_on_beta(self):
         code, out, _ = invoke(

@@ -1,5 +1,7 @@
 """Invariant values and inequality checkers against hand-computed values."""
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ from singulact import (
     milnor,
     ord_u,
 )
+from singulact.cli import CHECKS, random_zero_dim_ideal
 from singulact.invariants import registry_question1
 
 F = Fraction
@@ -219,23 +222,76 @@ class TestMilnor:
 
     def test_diagonal_route_matches_pure_powers(self):
         # Adding the product of the pure powers leaves each partial a unit
-        # times x_i^(a_i - 1), so the same Milnor number comes out of the
-        # Jacobian staircase instead of the diagonal closed form.
+        # times x_i^(a_i - 1), so f and f + x^a both have the diagonal closed
+        # form prod(a_i - 1), read off the one Jacobian staircase.
         rng = random.Random(31)
         for _ in range(25):
             exps = [rng.randint(1, 7) for _ in range(rng.randint(2, 4))]
             n = len(exps)
             f = diagonal(exps)
-            g = f + Poly(n, {tuple(exps): 1})
-            by_diagonal = milnor(f)
-            by_jacobian = milnor(g)
-            assert by_diagonal.method == "staircase-diagonal"
-            assert by_jacobian.method == "staircase-pure-powers"
-            assert by_diagonal.value == by_jacobian.value
+            closed_form = math.prod(a - 1 for a in exps)
+            for h in (f, f + Poly(n, {tuple(exps): 1})):
+                r = milnor(h)
+                assert (r.value, r.method) == (closed_form, "staircase-pure-powers")
 
     def test_unsupported_nonisolated(self):
         with pytest.raises(UnsupportedClassError):
             milnor(Poly(2, {(2, 1): 1}))
+
+
+class TestVerdictRule:
+    """Each outcome decided by comparison holds exactly when its lhs and rhs
+    satisfy the relation it carries; minkowski's bracket outcomes, whose
+    lhs and rhs are bracket endpoints, are the one exception."""
+
+    RELATIONS = {"<=": operator.le, ">=": operator.ge}
+
+    @staticmethod
+    def outcomes(seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            n = rng.randint(2, 3)
+            exps = [rng.randint(1, 5) for _ in range(n)]
+            f = diagonal(exps)
+            # A multiple of the product of the pure powers keeps the
+            # Jacobian monomial.
+            bump = tuple(e + rng.randint(0, 2) for e in exps)
+            yield check_madic(f, f + Poly(n, {bump: 1}))
+            other = [rng.randint(1, 5) for _ in range(n)]
+            if other != exps:
+                yield check_madic(f, diagonal(other))
+            yield check_restriction(f, rng.randrange(n))
+            yield check_milnor_bound(f)
+            if min(exps) >= 2:
+                yield check_question1(f)
+                a = MonomialIdeal(
+                    n, [tuple(e - 1 if j == i else 0 for j in range(n))
+                        for i, e in enumerate(exps)]
+                )
+                yield check_thm_alpha_le_lct(f, a)
+            a, b = random_zero_dim_ideal(rng, n), random_zero_dim_ideal(rng, n)
+            yield check_dfem(a)
+            yield check_minkowski(a, b)
+        # Multiplicities 4 and 9, whose ratio is a perfect square.
+        yield check_minkowski(
+            MonomialIdeal(2, [(2, 0), (0, 2)]), MonomialIdeal(2, [(3, 0), (0, 3)])
+        )
+        yield registry_question1()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_holds_and_equality_follow_relation(self, seed):
+        names, exact_minkowski = set(), 0
+        for c in self.outcomes(seed):
+            names.add(c.name)
+            if c.name == "minkowski":
+                if not c.witness.endswith("compared as n-th powers"):
+                    assert c.equality is False
+                    continue
+                exact_minkowski += 1
+            assert c.holds == self.RELATIONS[c.relation](c.lhs, c.rhs)
+            assert c.equality == (c.lhs == c.rhs)
+        assert names == set(CHECKS)
+        assert exact_minkowski >= 1
 
 
 class TestCheckQuestion1:
