@@ -1,7 +1,7 @@
 """Golden CLI corpus: fixed argv lists and the exit code and stdout that the
-program gave for them before a refactor.  A refactor that keeps behaviour
-must reproduce every case byte for byte; the fixture is never edited to
-follow the code."""
+program gave for them before a refactor, and its stderr where a case has a
+"stderr" key.  A refactor that keeps behaviour must reproduce every case
+byte for byte; the fixture is never edited to follow the code."""
 
 import io
 import json
@@ -30,3 +30,5 @@ def test_golden(case):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(case["argv"]), out=out, err=err)
     assert (code, out.getvalue()) == (case["exit"], case["stdout"])
+    if "stderr" in case:
+        assert err.getvalue() == case["stderr"]
