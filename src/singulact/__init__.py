@@ -62,7 +62,6 @@ from .invariants import (
     InvariantReport,
     alpha,
     beta,
-    beta_ordinary,
     check_dfem,
     check_madic,
     check_milnor_bound,

@@ -7,7 +7,8 @@ argument parser is built on the first call of `run` and reused by every later
 call in the process.  `CHECKS` (one entry per inequality of `check`) and
 `FAMILIES` (one per family of `scan`) give the parser's choices, the dispatch
 and the flags each entry reads; any other flag is refused.  A verdict prints
-the relation its `CheckOutcome` was decided under.
+the relation its `CheckOutcome` was decided under.  `INVARIANTS` gives the
+subcommands that answer one invariant of a polynomial, and their dispatch.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .invariants import (
     InvariantReport,
     alpha,
     beta,
-    beta_ordinary,
     check_dfem,
     check_madic,
     check_milnor_bound,
@@ -119,21 +119,8 @@ def _build_parser():
         "--certificate", action="store_true",
         help="compute by the facet dual and print the optimal facet",
     )
-    p = sub.add_parser("beta", help="threshold of (maximal ideal)*(Jacobian ideal)")
-    common(p, poly=True)
-    p.add_argument(
-        "--include-f", action="store_true", dest="include_f", default=None,
-        help="add f itself to the Jacobian generators",
-    )
-    p.add_argument(
-        "--ordinary",
-        metavar="N,D",
-        help="closed form for an ordinary singular point: dimension,multiplicity",
-    )
-    p = sub.add_parser("alpha", help="minimal exponent at the origin")
-    common(p, poly=True)
-    p = sub.add_parser("milnor", help="Milnor number at the origin")
-    common(p, poly=True)
+    for name, (text, _) in INVARIANTS.items():
+        common(sub.add_parser(name, help=text), poly=True)
     p = sub.add_parser("mult", help="Hilbert-Samuel multiplicity of a monomial ideal")
     common(p, ideal=True, caps=True)
     p = sub.add_parser("newton", help="dump Newton polyhedron points/facets/vertices")
@@ -308,32 +295,19 @@ def _cmd_lct(args, caps, out):
     return EXIT_OK
 
 
-def _cmd_beta(args, caps, out):
-    if args.ordinary:
-        _refuse_unread(args, "beta --ordinary", (), ("vars", "poly", "include_f"))
-        try:
-            n, d = (int(x) for x in args.ordinary.split(","))
-        except ValueError as exc:
-            raise InputError("--ordinary expects N,D") from exc
-        _print_report(beta_ordinary(n, d), args.json_output, out)
-        return EXIT_OK
+# One invariant of a polynomial per subcommand, in the parser's order:
+# name -> (help, function).
+INVARIANTS = {
+    "beta": ("threshold of (maximal ideal)*(Jacobian ideal)", beta),
+    "alpha": ("minimal exponent at the origin", alpha),
+    "milnor": ("Milnor number at the origin", milnor),
+}
+
+
+def _cmd_invariant(args, caps, out):
     vars = _need_vars(args)
     f = _need_poly(args, vars)
-    _print_report(beta(f, include_f=bool(args.include_f)), args.json_output, out)
-    return EXIT_OK
-
-
-def _cmd_alpha(args, caps, out):
-    vars = _need_vars(args)
-    f = _need_poly(args, vars)
-    _print_report(alpha(f), args.json_output, out)
-    return EXIT_OK
-
-
-def _cmd_milnor(args, caps, out):
-    vars = _need_vars(args)
-    f = _need_poly(args, vars)
-    _print_report(milnor(f), args.json_output, out)
+    _print_report(INVARIANTS[args.command][1](f), args.json_output, out)
     return EXIT_OK
 
 
@@ -587,9 +561,7 @@ def _cmd_registry(args, caps, out):
 
 _HANDLERS = {
     "lct": _cmd_lct,
-    "beta": _cmd_beta,
-    "alpha": _cmd_alpha,
-    "milnor": _cmd_milnor,
+    **dict.fromkeys(INVARIANTS, _cmd_invariant),
     "mult": _cmd_mult,
     "newton": _cmd_newton,
     "check": _cmd_check,

@@ -147,11 +147,8 @@ def lct_monomial_dual(
     )
 
 
-def _monomial_jacobian(f: Poly, include_f: bool = False) -> MonomialIdeal:
-    gens = [g for g in jacobian_generators(f, include_f) if not g.is_zero]
-    if not gens:
-        raise UnsupportedClassError("all Jacobian generators vanish")
-    return monomialize(gens)
+def _monomial_jacobian(f: Poly) -> MonomialIdeal:
+    return monomialize([g for g in jacobian_generators(f) if not g.is_zero])
 
 
 def _require_germ(f: Poly):
@@ -161,31 +158,15 @@ def _require_germ(f: Poly):
         raise InputError("polynomial must vanish at the origin")
 
 
-def beta(f: Poly, include_f: bool = False) -> InvariantReport:
+def beta(f: Poly) -> InvariantReport:
     """Log canonical threshold of (maximal ideal) * (Jacobian ideal) at the
     origin, on inputs whose Jacobian ideal reduces to a monomial ideal."""
     _require_germ(f)
-    jac = _monomial_jacobian(f, include_f)
+    jac = _monomial_jacobian(f)
     product = ideal_product(maximal_ideal(f.n), jac)
     report = lct_monomial(product)
     return InvariantReport(
         "beta", report.value, "monomial-lp", f.n, poly_to_string(f)
-    )
-
-
-def beta_ordinary(n: int, d: int) -> InvariantReport:
-    """Closed form n/d for an ordinary singular point of multiplicity d
-    (smooth projective tangent cone)."""
-    if n < 1:
-        raise InputError("dimension must be >= 1")
-    if d < 2:
-        raise InputError("ordinary singular point requires multiplicity >= 2")
-    return InvariantReport(
-        "beta",
-        Fraction(n, d),
-        "closed-form-ordinary",
-        n,
-        f"ordinary singularity, n={n}, d={d}",
     )
 
 

@@ -195,41 +195,29 @@ def parse_monomial_ideal(text: str, vars: VarTable) -> MonomialIdeal:
     """
     if not text.strip():
         raise ParseError("empty generator list", 0)
-    pieces = _split_top_level(text)
+    p = _Parser(text, vars)
     gens = []
-    offset = 0
-    for piece in pieces:
-        if not piece.strip():
-            raise ParseError("empty generator", offset)
-        p = _Parser(piece, vars)
+    while True:
+        start = p.pos
+        if p.peek() in ("", ","):
+            raise ParseError("empty generator", start)
         poly = p.parse_poly()
-        p.expect_end()
+        piece = text[start : p.pos].strip()
+        more = p.eat(",")
+        if not more:
+            p.expect_end()
         if len(poly.terms) != 1:
-            raise ParseError(f"not a monomial: {piece.strip()!r}", offset)
+            raise ParseError(f"not a monomial: {piece!r}", start)
         ((v, c),) = poly.terms.items()
         if c not in (1, -1):
             warnings.warn(
                 f"coefficient {format_rat(c)} discarded from ideal generator "
-                f"{piece.strip()!r}",
+                f"{piece!r}",
                 stacklevel=2,
             )
         gens.append(v)
-        offset += len(piece) + 1
-    return MonomialIdeal(vars.n, gens)
-
-
-def _split_top_level(text):
-    pieces, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            pieces.append(text[start:i])
-            start = i + 1
-    pieces.append(text[start:])
-    return pieces
+        if not more:
+            return MonomialIdeal(vars.n, gens)
 
 
 def _grlex_key(v):

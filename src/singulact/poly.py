@@ -190,18 +190,13 @@ def partial_derivative(f: Poly, i: int) -> Poly:
     return out
 
 
-def jacobian_generators(f: Poly, include_f: bool = False) -> list:
-    """Partial derivatives of f, optionally prepending f itself.
-
-    The default (partials only) generates an ideal with the same integral
-    closure near the origin, so the invariants computed from it agree.
-    """
+def jacobian_generators(f: Poly) -> list:
+    """Partial derivatives of f.  f itself is not needed: it lies in the
+    integral closure of (maximal ideal) * (Jacobian ideal) (Teissier 1973),
+    so adding it changes neither that closure nor any threshold of it."""
     if f.is_zero:
         raise InputError("jacobian of the zero polynomial")
-    gens = [partial_derivative(f, i) for i in range(f.n)]
-    if include_f:
-        gens.insert(0, f)
-    return gens
+    return [partial_derivative(f, i) for i in range(f.n)]
 
 
 def order_at_origin(f: Poly):

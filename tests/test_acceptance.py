@@ -14,7 +14,6 @@ from singulact import (
     Poly,
     alpha,
     beta,
-    beta_ordinary,
     check_dfem,
     check_madic,
     check_milnor_bound,
@@ -113,7 +112,6 @@ def test_criterion_3_cones():
             f = diagonal((d,) * n)
             b = beta(f).value
             assert b == F(n, d)
-            assert beta_ordinary(n, d).value == b
             a = alpha(f).value
             assert a == F(n, d)
             q = check_question1(f)

@@ -47,11 +47,6 @@ class TestReports:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "beta = 1/3"
 
-    def test_beta_ordinary(self):
-        code, out, _ = invoke("beta", "--ordinary", "3,2")
-        assert code == EXIT_OK
-        assert out.splitlines()[0] == "beta = 3/2"
-
     def test_alpha_cusp(self):
         code, out, _ = invoke("alpha", "--vars", "x,y", "--poly", "x^2 + y^3")
         assert code == EXIT_OK
@@ -325,6 +320,8 @@ class TestExitCodes:
             ["beta", "--vars", "x,y", "--poly", "x^2 + y^3", "--max-points", "3"],
             ["milnor", "--vars", "x,y", "--poly", "x^2 + y^3", "--max-points", "3"],
             ["scan", "diagonal", "--max-cells", "100"],
+            ["beta", "--ordinary", "3,2"],
+            ["beta", "--vars", "x,y", "--poly", "x^2 + y^3", "--include-f"],
         ],
     )
     def test_flag_of_another_subcommand_rejected(self, argv, capsys):
@@ -335,21 +332,6 @@ class TestExitCodes:
         assert "unrecognized arguments" in err
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            ["--vars", "x,y"],
-            ["--poly", "x^2 + y^3"],
-            ["--include-f"],
-            ["--vars", "x,y", "--poly", "x^2 + y^3", "--include-f"],
-        ],
-    )
-    def test_beta_ordinary_refuses_unread_flags(self, extra):
-        code, out, err = invoke("beta", "--ordinary", "3,2", *extra)
-        named = ", ".join(a for a in extra if a.startswith("--"))
-        assert (code, out) == (EXIT_INPUT, "")
-        assert err == f"input error: beta --ordinary does not read {named}\n"
-
     def test_lct_lp_route_refuses_max_points(self):
         ideal = ("--vars", "x,y,z", "--ideal", "x^2, y^3, z^4, x*y*z")
         code, out, err = invoke("lct", *ideal, "--max-points", "1")
@@ -359,13 +341,6 @@ class TestExitCodes:
         )
         code, out, _ = invoke("lct", *ideal, "--max-points", "4", "--certificate")
         assert (code, out.splitlines()[0]) == (EXIT_OK, "lct = 13/12")
-
-    def test_include_f_on_beta(self):
-        code, out, _ = invoke(
-            "beta", "--vars", "x,y", "--poly", "x^2*y^3", "--include-f"
-        )
-        assert code == EXIT_OK
-        assert out.splitlines()[0] == "beta = 2/5"
 
     def test_caps_env_override(self, monkeypatch):
         gens = ",".join(f"x{i+1}" for i in range(5))

@@ -62,11 +62,6 @@ class TestJacobianGenerators:
             P(2, {(0, 2): 3}),
         ]
 
-    def test_include_f(self):
-        f = P(2, {(2, 0): 1, (0, 3): 1})
-        gens = jacobian_generators(f, include_f=True)
-        assert gens[0] == f and len(gens) == 3
-
     def test_monomial_case(self):
         a, b = 4, 1
         f = P(2, {(a, b): 1})

@@ -15,7 +15,6 @@ from singulact import (
     UnsupportedClassError,
     alpha,
     beta,
-    beta_ordinary,
     check_dfem,
     check_madic,
     check_milnor_bound,
@@ -26,11 +25,13 @@ from singulact import (
     ideal_contains,
     ideal_power,
     ideal_product,
+    jacobian_generators,
     known_values,
     lct_monomial,
     lct_monomial_dual,
     maximal_ideal,
     milnor,
+    monomialize,
     ord_u,
 )
 from singulact.cli import CHECKS, random_zero_dim_ideal
@@ -135,16 +136,30 @@ class TestBeta:
         assert beta(Poly(1, {(d,): 1})).value == F(1, d)
         assert beta(Poly(2, {(d, 0): 1})).value == F(1, d - 1)
 
-    def test_include_f_redundant_for_monomials(self):
-        # f = x^4*y lies in its own Jacobian ideal, so including it changes
-        # nothing.
-        f = Poly(2, {(4, 1): 1})
-        assert beta(f, include_f=True).value == beta(f).value == F(1, 3)
-
-    def test_include_f_unsupported_when_f_not_monomializable(self):
-        f = Poly(2, {(2, 0): 1, (0, 3): 1})
-        with pytest.raises(UnsupportedClassError):
-            beta(f, include_f=True)
+    def test_adding_f_changes_nothing(self):
+        # f lies in the integral closure of m*J_f (Teissier 1973), so
+        # m*(J_f + (f)) has the same threshold as m*J_f.
+        rng = random.Random(41)
+        compared = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                v = tuple(rng.randint(0, 4) for _ in range(n))
+                if any(v):
+                    terms[v] = rng.choice([-2, -1, 1, 3])
+            f = Poly(n, terms)
+            if f.is_zero:
+                continue
+            gens = [f, *(g for g in jacobian_generators(f) if not g.is_zero)]
+            try:
+                with_f = monomialize(gens)
+            except UnsupportedClassError:
+                continue
+            product = ideal_product(maximal_ideal(n), with_f)
+            assert lct_monomial(product).value == beta(f).value, f
+            compared += 1
+        assert compared >= 100
 
     def test_unsupported_class(self):
         # x^2 + y^2 + x*y^2: Jacobian does not reduce to a monomial ideal.
@@ -155,17 +170,6 @@ class TestBeta:
     def test_nonvanishing_rejected(self):
         with pytest.raises(InputError):
             beta(Poly(2, {(0, 0): 1, (1, 0): 1}))
-
-
-class TestBetaOrdinary:
-    def test_values(self):
-        assert beta_ordinary(3, 2).value == F(3, 2)
-        assert beta_ordinary(2, 2).value == 1
-        assert beta_ordinary(4, 3).value == F(4, 3)
-
-    def test_rejects_small_multiplicity(self):
-        with pytest.raises(InputError):
-            beta_ordinary(2, 1)
 
 
 class TestAlpha:

@@ -1,5 +1,6 @@
 """Grammar, parser, and printer round trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,22 @@ class TestParseIdeal:
     def test_not_a_monomial(self):
         with pytest.raises(ParseError, match="not a monomial"):
             parse_monomial_ideal("x + y", XY)
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("x^2, y^", "expected a natural number", 7),
+            ("x^2, y^3, z", "unknown variable 'z'", 10),
+            ("x^2, y^3, x y +", "expected a term", 15),
+            ("x^2, y^3 + x", "not a monomial: 'y^3 + x'", 4),
+            ("x^2,, y", "empty generator", 4),
+            ("x^2, y), x", "unexpected character ')'", 6),
+        ],
+    )
+    def test_error_offset_into_whole_input(self, text, message, offset):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_monomial_ideal(text, XY)
+        assert exc.value.offset == offset
 
     def test_coefficient_warning(self):
         with pytest.warns(UserWarning, match="discarded"):
